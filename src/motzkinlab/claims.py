@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
@@ -65,27 +64,16 @@ def t_quotient(n: int) -> int:
 # Running accumulators (incremental prefix sums, cached per claim and key)
 # ---------------------------------------------------------------------------
 
-class _Acc:
+class _Acc(seq._PrefixCache):
     """Cached accumulator A(n) = step(A(n-1), n, key) with A(start-1) = init."""
 
     def __init__(self, start: int, step, init=0):
-        self.start = start
-        self.step = step
-        self.init = init
-        self._data: dict = {}
-        self._lock = threading.Lock()
+        super().__init__(lambda prefix, n, key: step(prefix[-1], n, key) if prefix else init,
+                         start - 1)
 
-    def at(self, n: int, key=()):
-        if n < self.start - 1:
-            raise ValueError(f"accumulator index {n} below start {self.start}")
-        with self._lock:
-            lst = self._data.get(key)
-            if lst is None:
-                lst = self._data[key] = [self.init]
-            while len(lst) < n - self.start + 2:
-                m = self.start - 1 + len(lst)
-                lst.append(self.step(lst[-1], m, key))
-            return lst[n - self.start + 1]
+    # A binding of its own, so accumulator lookups can be traced apart from
+    # the sequence tables and the other caches.
+    at = seq._PrefixCache.at
 
 
 def _d_of(key) -> int:
@@ -139,39 +127,24 @@ _SW51 = _Acc(1, lambda prev, n, _: prev + seq.motzkin_analog_w(n - 1) ** 2)
 _E28_LHS = _Acc(0, lambda prev, n, _: prev + sum(_f28(n, l) for l in range(n + 1)),
                 init=Fraction(0))
 # polynomial accumulators
-_P46 = _Acc(1, lambda prev, n, _: _w1(n) * _w1(n) * (n * (n + 1) * (2 * n + 1)) - prev,
-            init=ZERO)
+_P46 = _Acc(1, lambda prev, n, _: _W_POLY.at(n, 1) * _W_POLY.at(n, 1) * (n * (n + 1) * (2 * n + 1))
+            - prev, init=ZERO)
 _P52 = _Acc(1, lambda prev, n, key: prev
-            + (_wh(n, key[0]) ** key[1]) * (n * (n + 1) * (2 * n + 1)), init=ZERO)
+            + (_W_POLY.at(n, key[0]) ** key[1]) * (n * (n + 1) * (2 * n + 1)), init=ZERO)
 _P52_ALT = _Acc(1, lambda prev, n, key: prev
-                + (_wh(n, key[0]) ** key[1]) * ((-1) ** n * n * (n + 1) * (2 * n + 1)), init=ZERO)
+                + (_W_POLY.at(n, key[0]) ** key[1]) * ((-1) ** n * n * (n + 1) * (2 * n + 1)),
+                init=ZERO)
 _P53 = _Acc(1, lambda prev, n, key: prev
-            + (_sh(n, key[0]) ** key[1]) * (n * (n + 1) * (2 * n + 1)), init=ZERO)
+            + (_BIG_S_POLY.at(n, key[0]) ** key[1]) * (n * (n + 1) * (2 * n + 1)), init=ZERO)
 _P53_ALT = _Acc(1, lambda prev, n, key: prev
-                + (_sh(n, key[0]) ** key[1]) * ((-1) ** n * n * (n + 1) * (2 * n + 1)), init=ZERO)
+                + (_BIG_S_POLY.at(n, key[0]) ** key[1]) * ((-1) ** n * n * (n + 1) * (2 * n + 1)),
+                init=ZERO)
 
 
-def _memo(fn):
-    cache: dict = {}
-    lock = threading.Lock()
-
-    def wrapper(*args):
-        got = cache.get(args)
-        if got is None:
-            with lock:
-                got = cache.get(args)
-                if got is None:
-                    got = cache[args] = fn(*args)
-        return got
-
-    wrapper.cache = cache
-    return wrapper
-
-
-_s_poly = _memo(s_poly)
-_w1 = _memo(lambda n: w_poly(n, 1))
-_wh = _memo(w_poly)
-_sh = _memo(big_schroder_poly)
+# polynomial families by index n (w and S keyed by the exponent h)
+_S_POLY = seq._PrefixCache(lambda _prefix, n, _key: s_poly(n), start=1)
+_W_POLY = seq._PrefixCache(lambda _prefix, n, h: w_poly(n, h), start=1)
+_BIG_S_POLY = seq._PrefixCache(lambda _prefix, n, h: big_schroder_poly(n, h))
 _XP1 = Poly((1, 1))
 _Y = Poly((0, 1, 1))  # x(x+1)
 
@@ -404,7 +377,7 @@ def _check_cor_1_1_d(point):
 def _check_id_2_3(point):
     n = point
     lhs = big_schroder_poly(n, 1)
-    rhs = _XP1 * _s_poly(n)
+    rhs = _XP1 * _S_POLY.at(n)
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
     return _ok()
@@ -412,7 +385,7 @@ def _check_id_2_3(point):
 
 def _check_lem_2_1_a(point):
     n = point
-    lhs = _s_poly(n) * _s_poly(n) * (n * (n + 1))
+    lhs = _S_POLY.at(n) * _S_POLY.at(n) * (n * (n + 1))
     acc = ZERO
     ypow = ONE
     for k in range(1, n + 1):
@@ -663,8 +636,8 @@ def _check_lem_4_4_b(point):
 
 def _check_lem_4_5(point):
     n = point
-    lhs = _w1(n)
-    rhs = _s_poly(n)
+    lhs = _W_POLY.at(n, 1)
+    rhs = _S_POLY.at(n)
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
     return _ok()
@@ -673,20 +646,20 @@ def _check_lem_4_5(point):
 def _check_lem_4_6(point):
     n = point
     lhs = Poly((1, 2)) * _P46.at(n)
-    rhs = _w1(n) * _w1(n + 1) * (n * (n + 1) * (n + 2))
+    rhs = _W_POLY.at(n, 1) * _W_POLY.at(n + 1, 1) * (n * (n + 1) * (n + 2))
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
     return _ok()
 
 
-@_memo
 def _rec_w_offset() -> int | None:
     """Detect the index offset under which the 3-term w-recurrence holds."""
     for off in (0, 1, -1):
         good = True
         for n in range(max(1, 1 - off), 5):
-            lhs = _w1(n + 2 + off) * (n + 3)
-            rhs = Poly((1, 2)) * (2 * n + 3) * _w1(n + 1 + off) - _w1(n + off) * n
+            lhs = _W_POLY.at(n + 2 + off, 1) * (n + 3)
+            rhs = (Poly((1, 2)) * (2 * n + 3) * _W_POLY.at(n + 1 + off, 1)
+                   - _W_POLY.at(n + off, 1) * n)
             if lhs != rhs:
                 good = False
                 break
@@ -702,8 +675,9 @@ def _check_rec_w(point):
         off = 0
     if n + off < 1:
         return _skip("index below the family's first member")
-    lhs = _w1(n + 2 + off) * (n + 3)
-    rhs = Poly((1, 2)) * (2 * n + 3) * _w1(n + 1 + off) - _w1(n + off) * n
+    lhs = _W_POLY.at(n + 2 + off, 1) * (n + 3)
+    rhs = (Poly((1, 2)) * (2 * n + 3) * _W_POLY.at(n + 1 + off, 1)
+           - _W_POLY.at(n + off, 1) * n)
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
     return _ok()
@@ -756,7 +730,7 @@ def _check_eq_4_13(point):
 
 # sum_{k=1..n} k(k+1)(2k+1) s_k(x)^2 as a polynomial
 _S110_POLY = _Acc(1, lambda prev, n, _: prev
-                  + _s_poly(n) * _s_poly(n) * (n * (n + 1) * (2 * n + 1)), init=ZERO)
+                  + _S_POLY.at(n) * _S_POLY.at(n) * (n * (n + 1) * (2 * n + 1)), init=ZERO)
 
 
 def _check_lem_2_1_b(point):
@@ -766,12 +740,12 @@ def _check_lem_2_1_b(point):
     root = isqrt(d) if d > 0 else 0
     if d > 0 and root * root == d:
         x = Fraction(b - root, 2 * root)
-        value = Fraction(root) ** n * _s_poly(n + 1)(x)
+        value = Fraction(root) ** n * _S_POLY.at(n + 1)(x)
         if value != target:
             return _fail(f"sqrt(d)^n * s_(n+1)(x) = {value}", f"M_n(b,c) = {target}")
     else:
         x = Quadratic(Fraction(-1, 2), Fraction(b, 2 * d), d)
-        value = Quadratic.sqrt_of(d) ** n * _s_poly(n + 1)(x)
+        value = Quadratic.sqrt_of(d) ** n * _S_POLY.at(n + 1)(x)
         if not (value.is_rational and value.u == target):
             return _fail(f"sqrt(d)^n * s_(n+1)(x) = {value}", f"M_n(b,c) = {target}")
     return _ok()
@@ -980,8 +954,6 @@ class Claim:
     deep_range: ParamRange | None = None
     range_keys: tuple[str, ...] = ("n_max",)
     notes: Callable[[ParamRange], dict] | None = None
-    expect_counterexample: bool = False
-    table_label: str | None = None
 
 
 _BASE = ParamRange()
@@ -997,13 +969,11 @@ def _register(claim: Claim) -> Claim:
 
 
 def _mk(claim_id, kind, statement, param_names, points, check, *,
-        base=None, deep=None, range_keys=("n_max",), notes=None,
-        expect_counterexample=False, table_label=None, **range_overrides):
+        base=None, deep=None, range_keys=("n_max",), notes=None, **range_overrides):
     rng = (base or _BASE).override(**range_overrides) if range_overrides else (base or _BASE)
     deep_rng = rng.override(**deep) if deep else None
     return _register(Claim(claim_id, kind, statement, param_names, points, check,
-                           rng, deep_rng, range_keys, notes, expect_counterexample,
-                           table_label))
+                           rng, deep_rng, range_keys, notes))
 
 
 _GRID_KEYS = ("n_max", "b_set", "c_set")
@@ -1012,14 +982,14 @@ _PRIME_KEYS = ("prime_lo", "prime_hi")
 _mk("THM-1.1.i", "integrality",
     "2/n * sum_{k=1..n} (2k+1)*M_k^2 is an integer",
     ("n",), _n_points(), _check_thm_1_1_i,
-    deep={"n_max": 2000}, table_label="s(n)")
+    deep={"n_max": 2000})
 _mk("THM-1.1.ii", "congruence",
     "sum_{k=0..p-1} (2k+1)*M_k^2 = 12p(p/3) (mod p^2) for primes p > 3",
     ("p",), _prime_points(3), _check_thm_1_1_ii, range_keys=_PRIME_KEYS)
 _mk("THM-1.2", "divisibility",
     "n^2(n^2-1)/6 divides sum_{k=0..n-1} k(k+1)(8k+9)*T_k*T_{k+1}",
     ("n",), _n_points(), _check_thm_1_2,
-    deep={"n_max": 1000}, table_label="t(n)")
+    deep={"n_max": 1000})
 _mk("THM-1.3.a", "divisibility",
     "b*n(n+1)/2 divides sum_{k=1..n} k*T_k(b,c)*T_{k-1}(b,c)*d^(n-k)",
     ("b", "c", "n"), _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_a,
@@ -1155,7 +1125,7 @@ _mk("EQ-4.13", "polynomial-identity",
 
 _mk("REC-W", "identity",
     "(n+3)W_{n+3} = (3n+7)W_{n+2} + (n-5)W_{n+1} - 3(n+1)W_n",
-    ("n",), _n_points(lo=0), _check_rec_W, n_max=1000, table_label="W(n)")
+    ("n",), _n_points(lo=0), _check_rec_W, n_max=1000)
 _mk("CONJ-5.1.a", "congruence",
     "sum_{k=0..n-1} (8k+9)W_k^2 = n (mod 2n)",
     ("n",), _n_points(), _check_conj_5_1_a, deep={"n_max": 2000})
@@ -1179,13 +1149,13 @@ _mk("CONJ-5.3.ab", "integrality",
 
 _mk("MUT-THM-1.1.i", "divisibility",
     "mutation fixture: weight (2k+1) perturbed to (2k+2); must yield a counterexample",
-    ("n",), _n_points(), _check_mut_thm_1_1_i, n_max=25, expect_counterexample=True)
+    ("n",), _n_points(), _check_mut_thm_1_1_i, n_max=25)
 _mk("MUT-THM-1.2", "divisibility",
     "mutation fixture: weight (8k+9) perturbed to (8k+10); must yield a counterexample",
-    ("n",), _n_points(), _check_mut_thm_1_2, n_max=25, expect_counterexample=True)
+    ("n",), _n_points(), _check_mut_thm_1_2, n_max=25)
 _mk("MUT-ID-1.8", "identity",
     "mutation fixture: weight (2k+3) perturbed to (2k+4); must yield a counterexample",
-    ("n",), _n_points(), _check_mut_id_1_8, n_max=25, expect_counterexample=True)
+    ("n",), _n_points(), _check_mut_id_1_8, n_max=25)
 _mk("MUT-LEM-2.3", "polynomial-divisibility",
     "mutation fixture: [k+2]_q perturbed to [k+3]_q at a = b = 1; must yield a counterexample",
-    ("n",), _n_points(), _check_mut_lem_2_3, n_max=25, expect_counterexample=True)
+    ("n",), _n_points(), _check_mut_lem_2_3, n_max=25)

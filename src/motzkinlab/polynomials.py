@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from fractions import Fraction
 
 from . import sequences
@@ -343,8 +342,26 @@ def q_integer(n: int) -> Poly:
     return Poly((1,) * n)
 
 
-_QBINOM_ROWS: list[list[Poly]] = [[ONE]]
-_QBINOM_LOCK = threading.Lock()
+def _q_binomial_row(rows: list, m: int, _key) -> list[Poly]:
+    """Row m of the q-Pascal triangle from row m - 1."""
+    if m == 0:
+        return [ONE]
+    prev = rows[-1]
+    row = [ONE]
+    for j in range(1, m):
+        a = prev[j].coeffs
+        b = prev[j - 1].coeffs
+        out = [0] * max(len(a) + j, len(b))
+        for i, x in enumerate(b):
+            out[i] = x
+        for i, x in enumerate(a):
+            out[i + j] += x
+        row.append(Poly(out))
+    row.append(ONE)
+    return row
+
+
+_Q_ROWS = sequences._PrefixCache(_q_binomial_row)
 
 
 def q_binomial(n: int, k: int) -> Poly:
@@ -354,28 +371,23 @@ def q_binomial(n: int, k: int) -> Poly:
         raise ValueError("q_binomial: need n >= 0 and k >= 0")
     if k > n:
         return ZERO
-    if len(_QBINOM_ROWS) <= n:
-        with _QBINOM_LOCK:
-            while len(_QBINOM_ROWS) <= n:
-                m = len(_QBINOM_ROWS)
-                prev = _QBINOM_ROWS[m - 1]
-                row = [ONE]
-                for j in range(1, m):
-                    a = prev[j].coeffs
-                    b = prev[j - 1].coeffs
-                    out = [0] * max(len(a) + j, len(b))
-                    for i, x in enumerate(b):
-                        out[i] = x
-                    for i, x in enumerate(a):
-                        out[i + j] += x
-                    row.append(Poly(out))
-                row.append(ONE)
-                _QBINOM_ROWS.append(row)
-    return _QBINOM_ROWS[n][k]
+    return _Q_ROWS.at(n)[k]
 
 
-_CYCLOTOMIC: dict[int, Poly] = {}
-_CYCLOTOMIC_LOCK = threading.Lock()
+def _cyclotomic_step(phi: list, n: int, _key) -> Poly:
+    # phi[d - 1] is the d-th cyclotomic polynomial
+    prod = ONE
+    for d in range(1, n):
+        if n % d == 0:
+            prod = prod * phi[d - 1]
+    q_n_minus_1 = Poly((-1,) + (0,) * (n - 1) + (1,))
+    quot, rem = q_n_minus_1.div_rem(prod)
+    if not rem.is_zero:
+        raise AssertionError(f"cyclotomic({n}): division left a remainder")
+    return quot
+
+
+_PHI = sequences._PrefixCache(_cyclotomic_step, start=1)
 
 
 def cyclotomic(n: int) -> Poly:
@@ -383,27 +395,7 @@ def cyclotomic(n: int) -> Poly:
     product of the lower cyclotomics over proper divisors of n."""
     if n < 1:
         raise ValueError("cyclotomic: n must be >= 1")
-    got = _CYCLOTOMIC.get(n)
-    if got is not None:
-        return got
-    with _CYCLOTOMIC_LOCK:
-        return _cyclotomic_locked(n)
-
-
-def _cyclotomic_locked(n: int) -> Poly:
-    got = _CYCLOTOMIC.get(n)
-    if got is not None:
-        return got
-    prod = ONE
-    for d in range(1, n):
-        if n % d == 0:
-            prod = prod * _cyclotomic_locked(d)
-    q_n_minus_1 = Poly((-1,) + (0,) * (n - 1) + (1,))
-    quot, rem = q_n_minus_1.div_rem(prod)
-    if not rem.is_zero:
-        raise AssertionError(f"cyclotomic({n}): division left a remainder")
-    _CYCLOTOMIC[n] = quot
-    return quot
+    return _PHI.at(n)
 
 
 def s_poly(n: int) -> Poly:
@@ -435,9 +427,5 @@ def w_poly(n: int, h: int = 1) -> Poly:
     return Poly(tuple(sequences.w_coeff(n, k) ** h for k in range(1, n + 1)))
 
 
-def _reset_caches() -> None:
-    """Testing hook: drop q-binomial and cyclotomic caches."""
-    with _QBINOM_LOCK:
-        del _QBINOM_ROWS[1:]
-    with _CYCLOTOMIC_LOCK:
-        _CYCLOTOMIC.clear()
+# Testing hook: empties every cache of the package, these included.
+_reset_caches = sequences._reset_caches

@@ -2,20 +2,79 @@
 Delannoy, Schroder numbers, their (b, c) generalizations, and the signed
 Motzkin analogue W.
 
-Every function returns exact Python ints.  Sequences with prefix tables are
-cached per process; the cache size can be capped with the environment
-variable MOTZKINLAB_CACHE_LIMIT (entries per sequence, 0 = unlimited).
-Values past the cap are recomputed on demand, so results never depend on the
-cache.  All functions are pure and safe to call from multiple threads.
+Every function returns exact Python ints.  The tables are filled by the
+families' holonomic recurrences (Petkovsek-Wilf-Zeilberger, "A = B"), each
+entry from the ones before it:
+
+    (k+1) C_k = 2(2k-1) C_(k-1)                                  Catalan
+    n T_n(b,c) = (2n-1) b T_(n-1) - (n-1) d T_(n-2)              T_0 = 1, T_1 = b
+    (n+2) M_n(b,c) = (2n+1) b M_(n-1) - (n-1) d M_(n-2)          M_0 = 1, M_1 = b
+
+with d = b^2 - 4c; every division is exact.  Motzkin, central trinomial,
+Delannoy and both Schroder sequences are reads of the two (b, c) families:
+M_n = M_n(1,1), T_n = T_n(1,1), D_n = T_n(3,2), s_n = M_(n-1)(3,2) and
+S_n = 2 s_n (n >= 1).  W_n alone is built from its defining sum, because the
+recurrence it satisfies is a claim the verifier checks (REC-W).
+
+All tables, and the other caches of the package, are ``_PrefixCache``
+instances: a lookup that hits takes no lock, a fill takes the cache's one
+lock, and ``_reset_caches()`` empties every one of them.  Values never
+depend on the cache state, and all functions are safe to call from multiple
+threads.
 """
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
-_CACHE_LIMIT = max(0, int(os.environ.get("MOTZKINLAB_CACHE_LIMIT", "0") or "0"))
+_CACHES: list[_PrefixCache] = []
+
+
+class _PrefixCache:
+    """Keyed prefix cache: entry i of ``key`` is ``step(prefix, i, key)``.
+
+    Entries are filled in order from index ``start``; ``prefix`` is the list
+    of the key's entries ``start .. i-1``.  A step reads earlier entries only
+    through that list and never calls its own cache.  Every instance
+    registers with ``_reset_caches``.
+    """
+
+    def __init__(self, step, start: int = 0):
+        self._step = step
+        self._start = start
+        self._data: dict = {}
+        self._lock = threading.Lock()
+        _CACHES.append(self)
+
+    def at(self, i: int, key=()):
+        """Entry i of ``key``."""
+        vals = self._data.get(key)
+        if vals is not None and 0 <= i - self._start < len(vals):
+            return vals[i - self._start]
+        return self._fill(i, key)[i - self._start]
+
+    def prefix(self, i: int, key=()) -> list:
+        """Entries start..i of ``key`` as a fresh list (empty for i < start)."""
+        if i < self._start:
+            return []
+        return self._fill(i, key)[: i - self._start + 1]
+
+    def _fill(self, i: int, key) -> list:
+        if i < self._start:
+            raise ValueError(f"cache index {i} below start {self._start}")
+        with self._lock:
+            vals = self._data.setdefault(key, [])
+            while len(vals) <= i - self._start:
+                vals.append(self._step(vals, self._start + len(vals), key))
+        return vals
+
+
+def _reset_caches() -> None:
+    """Testing hook: empty every prefix cache of the package."""
+    for cache in _CACHES:
+        with cache._lock:
+            cache._data.clear()
 
 
 @dataclass(frozen=True)
@@ -33,38 +92,6 @@ class TrinomialParams:
         return self.b * self.b - 4 * self.c
 
 
-class _Table:
-    """Append-only prefix cache fed by a self-contained per-index step.
-
-    ``step(n)`` must not read the table (each entry is computed from scratch),
-    which keeps the optional size cap trivial: indices past the cap are
-    simply computed without being stored.
-    """
-
-    def __init__(self, step):
-        self._step = step
-        self._vals: list[int] = []
-        self._lock = threading.Lock()
-
-    def get(self, n: int) -> int:
-        vals = self._vals
-        if n < len(vals):
-            return vals[n]
-        if _CACHE_LIMIT and n >= _CACHE_LIMIT:
-            return self._step(n)
-        with self._lock:
-            while len(self._vals) <= n:
-                self._vals.append(self._step(len(self._vals)))
-        return self._vals[n]
-
-    def prefix(self, n: int) -> list[int]:
-        """Values for indices 0..n as a fresh list."""
-        if _CACHE_LIMIT and n >= _CACHE_LIMIT:
-            return [self.get(i) for i in range(n + 1)]
-        self.get(n)
-        return self._vals[: n + 1]
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with arbitrary integer upper index.
 
@@ -80,34 +107,22 @@ def binomial(n: int, k: int) -> int:
     return -v if k & 1 else v
 
 
-def _catalan_step(k: int) -> int:
-    return math.comb(2 * k, k) // (k + 1)
+def _catalan_step(cat: list, k: int, _key) -> int:
+    return cat[-1] * 2 * (2 * k - 1) // (k + 1) if k else 1
 
 
-_CATALAN = _Table(_catalan_step)
+_CATALAN = _PrefixCache(_catalan_step)
 
 
 def catalan(k: int) -> int:
     """Catalan number C(2k, k)/(k+1)."""
     if k < 0:
         raise ValueError("catalan: k must be >= 0")
-    return _CATALAN.get(k)
+    return _CATALAN.at(k)
 
 
 def catalan_values(k_max: int) -> list[int]:
     return _CATALAN.prefix(k_max)
-
-
-def _central_binomial_step(k: int) -> int:
-    return math.comb(2 * k, k)
-
-
-_CENTRAL_BINOMIAL = _Table(_central_binomial_step)
-
-
-def central_binomial(k: int) -> int:
-    """C(2k, k)."""
-    return _CENTRAL_BINOMIAL.get(k)
 
 
 def narayana(m: int, k: int) -> int:
@@ -120,91 +135,22 @@ def narayana(m: int, k: int) -> int:
     return q
 
 
-def _motzkin_step(n: int) -> int:
-    # sum_k C(n, 2k) * Catalan(k) with a running binomial update
-    cat = _CATALAN.prefix(n // 2 + 1)
-    b = 1
-    tot = 0
-    for k in range(n // 2 + 1):
-        tot += b * cat[k]
-        b = b * (n - 2 * k) * (n - 2 * k - 1) // ((2 * k + 1) * (2 * k + 2))
-    return tot
+def _gen_trinomial_step(t: list, n: int, key: tuple[int, int]) -> int:
+    b, c = key
+    if n < 2:
+        return b if n else 1
+    return ((2 * n - 1) * b * t[-1] - (n - 1) * (b * b - 4 * c) * t[-2]) // n
 
 
-_MOTZKIN = _Table(_motzkin_step)
+def _gen_motzkin_step(m: list, n: int, key: tuple[int, int]) -> int:
+    b, c = key
+    if n < 2:
+        return b if n else 1
+    return ((2 * n + 1) * b * m[-1] - (n - 1) * (b * b - 4 * c) * m[-2]) // (n + 2)
 
 
-def motzkin(n: int) -> int:
-    """Motzkin number: sum_k C(n, 2k) * Catalan(k)."""
-    if n < 0:
-        raise ValueError("motzkin: n must be >= 0")
-    return _MOTZKIN.get(n)
-
-
-def motzkin_values(n_max: int) -> list[int]:
-    return _MOTZKIN.prefix(n_max)
-
-
-def _central_trinomial_step(n: int) -> int:
-    cb = _CENTRAL_BINOMIAL.prefix(n // 2 + 1)
-    b = 1
-    tot = 0
-    for k in range(n // 2 + 1):
-        tot += b * cb[k]
-        b = b * (n - 2 * k) * (n - 2 * k - 1) // ((2 * k + 1) * (2 * k + 2))
-    return tot
-
-
-_CENTRAL_TRINOMIAL = _Table(_central_trinomial_step)
-
-
-def central_trinomial(n: int) -> int:
-    """Central trinomial coefficient: constant term of (1 + x + 1/x)^n,
-    computed as sum_k C(n, 2k) * C(2k, k)."""
-    if n < 0:
-        raise ValueError("central_trinomial: n must be >= 0")
-    return _CENTRAL_TRINOMIAL.get(n)
-
-
-def central_trinomial_values(n_max: int) -> list[int]:
-    return _CENTRAL_TRINOMIAL.prefix(n_max)
-
-
-class _ParamTables:
-    """(b, c)-keyed family of prefix tables."""
-
-    def __init__(self, make_step):
-        self._make_step = make_step
-        self._tables: dict[tuple[int, int], _Table] = {}
-        self._lock = threading.Lock()
-
-    def table(self, b: int, c: int) -> _Table:
-        key = (b, c)
-        tab = self._tables.get(key)
-        if tab is None:
-            with self._lock:
-                tab = self._tables.setdefault(key, _Table(self._make_step(b, c)))
-        return tab
-
-
-def _gen_step(weights_table):
-    def make(b: int, c: int):
-        def step(n: int) -> int:
-            wt = weights_table.prefix(n // 2 + 1)
-            bb = 1
-            tot = 0
-            for k in range(n // 2 + 1):
-                tot += bb * wt[k] * b ** (n - 2 * k) * c**k
-                bb = bb * (n - 2 * k) * (n - 2 * k - 1) // ((2 * k + 1) * (2 * k + 2))
-            return tot
-
-        return step
-
-    return make
-
-
-_GEN_TRINOMIAL = _ParamTables(_gen_step(_CENTRAL_BINOMIAL))
-_GEN_MOTZKIN = _ParamTables(_gen_step(_CATALAN))
+_GEN_TRINOMIAL = _PrefixCache(_gen_trinomial_step)
+_GEN_MOTZKIN = _PrefixCache(_gen_motzkin_step)
 
 
 def gen_trinomial(n: int, b: int, c: int) -> int:
@@ -212,11 +158,11 @@ def gen_trinomial(n: int, b: int, c: int) -> int:
     sum_k C(n, 2k) * C(2k, k) * b^(n-2k) * c^k."""
     if n < 0:
         raise ValueError("gen_trinomial: n must be >= 0")
-    return _GEN_TRINOMIAL.table(b, c).get(n)
+    return _GEN_TRINOMIAL.at(n, (b, c))
 
 
 def gen_trinomial_values(n_max: int, b: int, c: int) -> list[int]:
-    return _GEN_TRINOMIAL.table(b, c).prefix(n_max)
+    return _GEN_TRINOMIAL.prefix(n_max, (b, c))
 
 
 def gen_motzkin(n: int, b: int, c: int) -> int:
@@ -224,72 +170,66 @@ def gen_motzkin(n: int, b: int, c: int) -> int:
     sum_k C(n, 2k) * Catalan(k) * b^(n-2k) * c^k."""
     if n < 0:
         raise ValueError("gen_motzkin: n must be >= 0")
-    return _GEN_MOTZKIN.table(b, c).get(n)
+    return _GEN_MOTZKIN.at(n, (b, c))
 
 
 def gen_motzkin_values(n_max: int, b: int, c: int) -> list[int]:
-    return _GEN_MOTZKIN.table(b, c).prefix(n_max)
+    return _GEN_MOTZKIN.prefix(n_max, (b, c))
 
 
-def _delannoy_step(n: int) -> int:
-    # sum_k C(n, k) * C(n+k, k); the two-stage update keeps division exact
-    r = 1
-    tot = 0
-    for k in range(n + 1):
-        tot += r
-        r = r * (n - k) // (k + 1)
-        r = r * (n + k + 1) // (k + 1)
-    return tot
+def motzkin(n: int) -> int:
+    """Motzkin number: sum_k C(n, 2k) * Catalan(k) = M_n(1, 1)."""
+    if n < 0:
+        raise ValueError("motzkin: n must be >= 0")
+    return _GEN_MOTZKIN.at(n, (1, 1))
 
 
-_DELANNOY = _Table(_delannoy_step)
+def motzkin_values(n_max: int) -> list[int]:
+    return _GEN_MOTZKIN.prefix(n_max, (1, 1))
+
+
+def central_trinomial(n: int) -> int:
+    """Central trinomial coefficient: constant term of (1 + x + 1/x)^n,
+    sum_k C(n, 2k) * C(2k, k) = T_n(1, 1)."""
+    if n < 0:
+        raise ValueError("central_trinomial: n must be >= 0")
+    return _GEN_TRINOMIAL.at(n, (1, 1))
+
+
+def central_trinomial_values(n_max: int) -> list[int]:
+    return _GEN_TRINOMIAL.prefix(n_max, (1, 1))
 
 
 def delannoy(n: int) -> int:
-    """Central Delannoy number: sum_k C(n, k) * C(n+k, k)."""
+    """Central Delannoy number: sum_k C(n, k) * C(n+k, k) = T_n(3, 2)."""
     if n < 0:
         raise ValueError("delannoy: n must be >= 0")
-    return _DELANNOY.get(n)
+    return _GEN_TRINOMIAL.at(n, (3, 2))
 
 
 def delannoy_values(n_max: int) -> list[int]:
-    return _DELANNOY.prefix(n_max)
-
-
-def _schroder_little_step(i: int) -> int:
-    # table index i holds s_{i+1} = sum_{k=1}^{i+1} N(i+1, k) * 2^(i+1-k)
-    n = i + 1
-    return sum(narayana(n, k) * 2 ** (n - k) for k in range(1, n + 1))
-
-
-_SCHRODER_LITTLE = _Table(_schroder_little_step)
+    return _GEN_TRINOMIAL.prefix(n_max, (3, 2))
 
 
 def schroder_little(n: int) -> int:
-    """Little Schroder number s_n = sum_k N(n, k) * 2^(n-k), defined for n >= 1."""
+    """Little Schroder number s_n = sum_k N(n, k) * 2^(n-k) = M_(n-1)(3, 2),
+    defined for n >= 1."""
     if n < 1:
         raise ValueError("schroder_little: n must be >= 1 (s_0 is undefined)")
-    return _SCHRODER_LITTLE.get(n - 1)
+    return _GEN_MOTZKIN.at(n - 1, (3, 2))
 
 
 def schroder_little_values(n_max: int) -> list[int]:
     """[s_1, ..., s_n_max]."""
-    return _SCHRODER_LITTLE.prefix(n_max - 1)
-
-
-def _schroder_large_step(n: int) -> int:
-    cat = _CATALAN.prefix(n)
-    return sum(math.comb(n + k, 2 * k) * cat[k] for k in range(n + 1))
-
-
-_SCHRODER_LARGE = _Table(_schroder_large_step)
+    return _GEN_MOTZKIN.prefix(n_max - 1, (3, 2))
 
 
 def schroder_large(n: int) -> int:
-    """Large Schroder number: sum_k C(n+k, 2k) * Catalan(k)."""
+    """Large Schroder number: sum_k C(n+k, 2k) * Catalan(k), which is 2 s_n
+    for n >= 1."""
     if n < 0:
         raise ValueError("schroder_large: n must be >= 0")
-    return _SCHRODER_LARGE.get(n)
+    return 2 * _GEN_MOTZKIN.at(n - 1, (3, 2)) if n else 1
 
 
 def w_coeff(n: int, k: int) -> int:
@@ -302,7 +242,7 @@ def w_coeff(n: int, k: int) -> int:
     return q
 
 
-def _motzkin_analog_w_step(n: int) -> int:
+def _motzkin_analog_w_step(_w: list, n: int, _key) -> int:
     # sum_k C(n, 2k) * C(2k, k)/(2k - 1); the k = 0 term is -1 and for k >= 1
     # the weight C(2k, k)/(2k - 1) equals 2 * Catalan(k - 1)
     cat = _CATALAN.prefix(max(n // 2, 1))
@@ -314,7 +254,7 @@ def _motzkin_analog_w_step(n: int) -> int:
     return tot
 
 
-_MOTZKIN_ANALOG_W = _Table(_motzkin_analog_w_step)
+_MOTZKIN_ANALOG_W = _PrefixCache(_motzkin_analog_w_step)
 
 
 def motzkin_analog_w(n: int) -> int:
@@ -325,19 +265,8 @@ def motzkin_analog_w(n: int) -> int:
     """
     if n < 0:
         raise ValueError("motzkin_analog_w: n must be >= 0")
-    return _MOTZKIN_ANALOG_W.get(n)
+    return _MOTZKIN_ANALOG_W.at(n)
 
 
 def motzkin_analog_w_values(n_max: int) -> list[int]:
     return _MOTZKIN_ANALOG_W.prefix(n_max)
-
-
-def _reset_caches() -> None:
-    """Testing hook: drop every cached table."""
-    for tab in (_CATALAN, _CENTRAL_BINOMIAL, _MOTZKIN, _CENTRAL_TRINOMIAL,
-                _DELANNOY, _SCHRODER_LITTLE, _SCHRODER_LARGE, _MOTZKIN_ANALOG_W):
-        with tab._lock:
-            tab._vals.clear()
-    for fam in (_GEN_TRINOMIAL, _GEN_MOTZKIN):
-        with fam._lock:
-            fam._tables.clear()

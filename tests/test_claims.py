@@ -233,6 +233,37 @@ class TestMutationSensitivity:
         assert len(report.counterexamples) == 1
 
 
+# every dependent reads index 7 within these ranges; grids only at (3, 2)
+_SMALL_AT_3_2 = {"n_max": 12, "prime_hi": 50, "b_set": [3], "c_set": [2]}
+
+
+@pytest.mark.parametrize("table, key, dependents", [
+    (seq._GEN_MOTZKIN, (1, 1),
+     ("THM-1.1.i", "THM-1.1.ii", "LEM-2.2", "EQ-2.11", "ID-1.8")),
+    (seq._GEN_TRINOMIAL, (1, 1), ("THM-1.2", "LEM-3.2")),
+    (seq._GEN_TRINOMIAL, (3, 2),
+     ("COR-1.1.ab", "THM-1.3.a", "THM-1.3.b", "LEM-3.1.a", "LEM-3.1.b", "LEM-4.1",
+      "EQ-4.11")),
+    (seq._GEN_MOTZKIN, (3, 2),
+     ("COR-1.1.c", "COR-1.1.d", "THM-1.3.c", "THM-1.3.d", "REM-2.1", "LEM-2.1.b")),
+], ids=["M", "T", "D=T(3,2)", "s=M(3,2)"])
+def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, dependents):
+    """One wrong table entry (index 7) must refute every claim that reads it,
+    through every accumulator built on it; after the one reset the same
+    claims verify again, so no cache keeps the wrong value."""
+    def statuses():
+        return {cid: verify_claim(cid, _SMALL_AT_3_2).status for cid in dependents}
+
+    seq._reset_caches()
+    try:
+        table.prefix(40, key)
+        table._data[key][7] += 1
+        assert statuses() == dict.fromkeys(dependents, "counterexample")
+    finally:
+        seq._reset_caches()
+    assert statuses() == dict.fromkeys(dependents, "verified")
+
+
 class TestSqrtDClaim:
     def test_perfect_square_pairs(self):
         report = verify_sqrt_d_claims({"n_max": 20, "b_set": (3,), "c_set": (2, 0)})

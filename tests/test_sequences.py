@@ -1,14 +1,35 @@
 """Sequence tests: pinned small values, dual-formula oracles, and the
-specialization lattice tying the generalized families together."""
+specialization lattice tying the generalized families together.
+
+The tables are built by recurrences, and Motzkin, central trinomial,
+Delannoy and Schroder numbers are reads of the two (b, c) families, so every
+table is also checked against its defining sum computed here with
+``math.comb`` alone."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinlab import sequences as seq
+
+
+def cat(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def trinomial_sum(n: int, b: int, c: int) -> int:
+    return sum(math.comb(n, 2 * k) * math.comb(2 * k, k) * b ** (n - 2 * k) * c ** k
+               for k in range(n // 2 + 1))
+
+
+def motzkin_sum(n: int, b: int, c: int) -> int:
+    return sum(math.comb(n, 2 * k) * cat(k) * b ** (n - 2 * k) * c ** k
+               for k in range(n // 2 + 1))
 
 
 def poly_power_coeffs(base: list[int], exp: int) -> list[int]:
@@ -89,6 +110,15 @@ class TestMotzkin:
         for n in range(501):
             assert seq.motzkin(n) == seq.gen_motzkin(n, 1, 1)
 
+    def test_defining_sum_oracle(self):
+        assert seq.motzkin_values(300) == [motzkin_sum(n, 1, 1) for n in range(301)]
+
+    def test_empty_prefix_cold_and_warm(self):
+        seq._reset_caches()
+        assert seq.motzkin_values(-1) == []
+        seq.motzkin(10)
+        assert seq.motzkin_values(-1) == []
+
 
 class TestCentralTrinomial:
     def test_small(self):
@@ -112,6 +142,12 @@ class TestGenTrinomial:
         assert seq.gen_trinomial(3, 2, 1) == 20 == math.comb(6, 3)
         assert seq.gen_trinomial(0, 5, -3) == 1
 
+    def test_defining_sum_oracle(self):
+        for b in range(-4, 5):
+            for c in range(-4, 5):
+                assert seq.gen_trinomial_values(40, b, c) == [trinomial_sum(n, b, c)
+                                                             for n in range(41)], (b, c)
+
     def test_coefficient_oracle(self):
         # T_n(b, c) is the coefficient of x^n in (x^2 + bx + c)^n
         for b, c in [(1, 1), (3, 2), (-2, 3), (4, -1)]:
@@ -130,6 +166,12 @@ class TestGenMotzkin:
     def test_pinned(self):
         assert seq.gen_motzkin(3, 2, 1) == 14  # Catalan(4)
         assert seq.gen_motzkin(2, 3, 2) == 11  # little Schroder s_3
+
+    def test_defining_sum_oracle(self):
+        for b in range(-4, 5):
+            for c in range(-4, 5):
+                assert seq.gen_motzkin_values(40, b, c) == [motzkin_sum(n, b, c)
+                                                           for n in range(41)], (b, c)
 
     def test_c_zero_collapses_to_powers(self):
         for n in range(51):
@@ -161,6 +203,18 @@ class TestSchroder:
         with pytest.raises(ValueError):
             seq.schroder_little(0)
 
+    def test_little_defining_sum_oracle(self):
+        # s_n = sum_k N(n, k) 2^(n-k) with N(n, k) = C(n, k) C(n, k-1) / n
+        expected = [sum(math.comb(n, k) * math.comb(n, k - 1) // n * 2 ** (n - k)
+                        for k in range(1, n + 1)) for n in range(1, 201)]
+        assert seq.schroder_little_values(200) == expected
+
+    def test_little_empty_prefix_cold_and_warm(self):
+        seq._reset_caches()
+        assert seq.schroder_little_values(0) == []
+        seq.schroder_little(10)
+        assert seq.schroder_little_values(0) == []
+
     def test_little_matches_gen_motzkin(self):
         for n in range(1, 201):
             assert seq.schroder_little(n) == seq.gen_motzkin(n - 1, 3, 2)
@@ -172,6 +226,11 @@ class TestSchroder:
     def test_large_is_twice_little(self):
         for n in range(1, 301):
             assert seq.schroder_large(n) == 2 * seq.schroder_little(n)
+
+    def test_large_defining_sum_oracle(self):
+        for n in range(301):
+            expected = sum(math.comb(n + k, 2 * k) * cat(k) for k in range(n + 1))
+            assert seq.schroder_large(n) == expected
 
 
 class TestWCoeff:
@@ -215,14 +274,46 @@ class TestMotzkinAnalogW:
 
 
 class TestCaching:
-    def test_cache_limit_changes_nothing(self, monkeypatch):
-        baseline = [seq.motzkin(n) for n in range(30)]
-        monkeypatch.setattr(seq, "_CACHE_LIMIT", 5)
-        seq._reset_caches()
-        assert [seq.motzkin(n) for n in range(30)] == baseline
-        monkeypatch.setattr(seq, "_CACHE_LIMIT", 0)
-        seq._reset_caches()
-        assert [seq.motzkin(n) for n in range(30)] == baseline
+    def test_index_below_start_is_rejected(self):
+        # a negative index must not read the warm list from its end
+        seq.catalan(5)
+        with pytest.raises(ValueError):
+            seq._CATALAN.at(-1)
+
+    def test_concurrent_fills_agree_with_the_sums(self):
+        # Without the fill lock, a round like this often stores a wrong entry.
+        keys = [(b, c) for b in (-3, 1, 2, 4) for c in (-2, 1, 3)]
+        n_max, n_threads = 200, 6
+        expected = {key: [trinomial_sum(n, *key) for n in range(n_max + 1)] for key in keys}
+        got, errors = [], []
+
+        def work(start: threading.Barrier, by_lookup: bool) -> None:
+            try:
+                start.wait()
+                for key in keys:
+                    got.append((key, [seq.gen_trinomial(n, *key) for n in range(n_max + 1)]
+                                if by_lookup else seq.gen_trinomial_values(n_max, *key)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                seq._reset_caches()
+                start = threading.Barrier(n_threads, timeout=60)
+                threads = [threading.Thread(target=work, args=(start, i % 2))
+                           for i in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(got) == 20 * n_threads * len(keys)
+        assert all(values == expected[key] for key, values in got)
 
     def test_trinomial_params_derives_d(self):
         p = seq.TrinomialParams(b=3, c=2)
