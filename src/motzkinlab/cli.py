@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested claims verified; 1 at least one counterexample
 (witnesses are in the report output); 2 usage errors (unknown sequence,
-claim, suite, or malformed flags).
+claim, suite, malformed flags, an unsupported MOTZKINLAB_CONJ59_PREFACTOR,
+or an --out path that cannot be written).
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import sys
 
 from . import sequences as seq
+from .claims import InvalidSetting, conj_5_9_prefactor
 from .reports import (InvalidRange, format_report_human, reports_to_csv,
                       reports_to_json)
 from .verify import SUITES, UnknownClaim, UnknownSuite, run_suite, verify_claim
@@ -131,7 +133,7 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _emit(reports, args) -> None:
+def _emit(reports, args) -> int:
     if args.format == "json":
         text = reports_to_json(reports)
     elif args.format == "csv":
@@ -139,12 +141,17 @@ def _emit(reports, args) -> None:
     else:
         text = "\n".join(format_report_human(r) for r in reports) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         summary = ", ".join(f"{r.claim}: {r.status}" for r in reports)
         print(f"wrote {args.out} ({summary})")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return _exit_code(reports)
 
 
 def _exit_code(reports) -> int:
@@ -165,8 +172,7 @@ def _cmd_verify(args) -> int:
     except InvalidRange as exc:
         print(f"error: invalid range: {exc}", file=sys.stderr)
         return 2
-    _emit(reports, args)
-    return _exit_code(reports)
+    return _emit(reports, args)
 
 
 def _cmd_suite(args) -> int:
@@ -180,8 +186,7 @@ def _cmd_suite(args) -> int:
     except InvalidRange as exc:
         print(f"error: invalid range: {exc}", file=sys.stderr)
         return 2
-    _emit(reports, args)
-    return _exit_code(reports)
+    return _emit(reports, args)
 
 
 def main(argv=None) -> int:
@@ -189,6 +194,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "seq":
         return _cmd_seq(args)
+    try:  # settings the claims read are checked before any work starts
+        conj_5_9_prefactor()
+    except InvalidSetting as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "verify":
         return _cmd_verify(args)
     return _cmd_suite(args)

@@ -97,13 +97,24 @@ def _mul_coeffs(a: tuple, b: tuple) -> list:
     return _mul_school(a, b)
 
 
+def _fold(coeffs, n: int) -> list:
+    """Coefficients of the residue mod q^n - 1 (length n): entry i sums the
+    coefficients of every q^j with j = i (mod n)."""
+    return [sum(coeffs[i::n]) for i in range(n)]
+
+
+def _mul_cyclic(a, b, n: int) -> list:
+    """Product of two residues mod q^n - 1, as a length-n residue."""
+    return _fold(_mul_coeffs(a, b), n)
+
+
 class Poly:
     """Dense univariate polynomial with exact coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -374,28 +385,35 @@ def q_binomial(n: int, k: int) -> Poly:
     return _Q_ROWS.at(n)[k]
 
 
-def _cyclotomic_step(phi: list, n: int, _key) -> Poly:
-    # phi[d - 1] is the d-th cyclotomic polynomial
-    prod = ONE
-    for d in range(1, n):
-        if n % d == 0:
-            prod = prod * phi[d - 1]
-    q_n_minus_1 = Poly((-1,) + (0,) * (n - 1) + (1,))
-    quot, rem = q_n_minus_1.div_rem(prod)
-    if not rem.is_zero:
-        raise AssertionError(f"cyclotomic({n}): division left a remainder")
-    return quot
-
-
-_PHI = sequences._PrefixCache(_cyclotomic_step, start=1)
+def _mobius(m: int) -> int:
+    """Moebius function by trial division."""
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
 
 
 def cyclotomic(n: int) -> Poly:
-    """n-th cyclotomic polynomial, by exact division of q^n - 1 by the
-    product of the lower cyclotomics over proper divisors of n."""
+    """n-th cyclotomic polynomial by the Moebius product
+    prod_{d | n} (q^d - 1)^mu(n/d): the mu = +1 factors divided exactly by
+    the mu = -1 factors."""
     if n < 1:
         raise ValueError("cyclotomic: n must be >= 1")
-    return _PHI.at(n)
+    num, den = ONE, ONE
+    for d in range(1, n + 1):
+        mu = _mobius(n // d) if n % d == 0 else 0
+        if mu:
+            factor = Poly((-1,) + (0,) * (d - 1) + (1,))
+            if mu > 0:
+                num = num * factor
+            else:
+                den = den * factor
+    return num.exact_div(den)
 
 
 def s_poly(n: int) -> Poly:

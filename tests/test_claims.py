@@ -11,7 +11,8 @@ import json
 import pytest
 
 from motzkinlab import sequences as seq
-from motzkinlab.claims import CLAIMS, NonIntegral, s_quotient, t_quotient
+from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
+                               s_quotient, t_quotient)
 from motzkinlab.polynomials import Poly, q_binomial, q_integer
 from motzkinlab.reports import (InvalidRange, reports_from_json,
                                 reports_to_csv, reports_to_json)
@@ -171,6 +172,32 @@ class TestPinnedPoints:
             total = total + (-term if (n - 1 - k) % 2 else term)
         quotient = total.exact_div(q_integer(n))
         assert quotient * q_integer(n) == total
+
+    def test_folded_remainder_matches_long_division(self):
+        # the checkers fold the sum mod q^n - 1; the oracle builds it in Z[q]
+        # and long-divides by [n]_q.  a = 0 (where the lemma is false) and
+        # the mutated weight [k+3]_q put the witness path on the grid too.
+        nonzero = 0
+        for n in range(1, 13):
+            q3 = q_integer(3)
+            pw = [Poly((1,))]
+            for _ in range(n - 1):
+                pw.append(pw[-1] * q3)
+            for a in range(3):
+                for bexp in range(3):
+                    for shift in (2, 3):
+                        total = Poly(())
+                        for k in range(n):
+                            term = (q_binomial(n + 1, k) ** a * q_binomial(n + k, k) ** bexp
+                                    * q_binomial(2 * k, k) * q_integer(k + shift)
+                                    * pw[n - 1 - k])
+                            total = total + (-term if (n - 1 - k) % 2 else term)
+                        expected = total.div_rem(q_integer(n))[1]
+                        folded = _mod_q_integer(_q_sum_2_9(n, a, bexp, shift))
+                        assert folded == expected, (n, a, bexp, shift)
+                        assert folded.render("q") == expected.render("q")
+                        nonzero += not expected.is_zero
+        assert nonzero == 114
 
     def test_lem_2_1_a_at_n_1(self):
         report = verify_claim("LEM-2.1.a", {"n_max": 1})

@@ -84,6 +84,23 @@ class TestVerify:
         assert code == 2
         assert "invalid range" in err
 
+    def test_invalid_prefactor_setting_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MOTZKINLAB_CONJ59_PREFACTOR", "bogus")
+        code, out, err = run_cli(capsys, "verify", "THM-1.1.i", "--n-max", "5")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: unsupported MOTZKINLAB_CONJ59_PREFACTOR 'bogus'"]
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "MUT-ID-1.8", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.exists()
+
     def test_grid_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "THM-1.3.a", "--n-max", "6",
                                "--b-set", "1..2", "--c-set=-1,1",

@@ -42,6 +42,14 @@ class TestRingOps:
         assert not p.scaled(Fraction(1, 2)).is_integral()
         assert (2 * p).scaled(Fraction(1, 2)).is_integral()
 
+    def test_integral_fractions_normalise_to_int(self):
+        p = Poly((Fraction(4, 2), 3))
+        assert p.coeffs == (2, 3)
+        assert all(type(c) is int for c in p.coeffs)
+        mixed = Poly((1, Fraction(3, 2), Fraction(6, 3), 0, Fraction(0, 5)))
+        assert mixed.coeffs == (1, Fraction(3, 2), 2)
+        assert [type(c) for c in mixed.coeffs] == [int, Fraction, int]
+
     def test_zero_degree_sentinel(self):
         assert ZERO.degree is None
         assert Poly((5,)).degree == 0
@@ -172,6 +180,14 @@ class TestCyclotomic:
                     prod = prod * cyclotomic(d)
             expected = Poly((-1,) + (0,) * (n - 1) + (1,))
             assert prod == expected
+
+    def test_cold_product_over_divisors_of_360(self):
+        poly._reset_caches()
+        prod = cyclotomic(360)
+        for d in range(1, 360):
+            if 360 % d == 0:
+                prod = prod * cyclotomic(d)
+        assert prod == Poly((-1,) + (0,) * 359 + (1,))
 
     def test_prime_cyclotomic_is_q_integer(self):
         from motzkinlab.modular import primes_in
