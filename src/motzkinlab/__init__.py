@@ -14,8 +14,7 @@ from .sequences import (TrinomialParams, binomial, catalan, central_trinomial,
                         motzkin_analog_w, narayana, schroder_large,
                         schroder_little, w_coeff)
 from .verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
-                     verify_claim, verify_congruence_claims,
-                     verify_polynomial_claims, verify_sqrt_d_claims)
+                     verify_claim)
 
 __version__ = "0.1.0"
 
@@ -28,6 +27,5 @@ __all__ = [
     "motzkin_analog_w", "narayana", "q_binomial", "q_integer",
     "reports_from_json", "reports_to_csv", "reports_to_json", "run_suite",
     "s_poly", "s_quotient", "schroder_large", "schroder_little",
-    "t_quotient", "verify_claim", "verify_congruence_claims",
-    "verify_polynomial_claims", "verify_sqrt_d_claims", "w_coeff", "w_poly",
+    "t_quotient", "verify_claim", "w_coeff", "w_poly",
 ]

@@ -90,12 +90,6 @@ _TT_SUM = _Acc(1, lambda prev, n, _: prev
                + (n - 1) * n * (8 * n + 1) * seq.central_trinomial(n - 1) * seq.central_trinomial(n))
 _TT_SUM_MUT = _Acc(1, lambda prev, n, _: prev
                    + (n - 1) * n * (8 * n + 2) * seq.central_trinomial(n - 1) * seq.central_trinomial(n))
-# sum_{k=1..n} k T_k(b,c) T_{k-1}(b,c) d^(n-k)
-_S14 = _Acc(1, lambda prev, n, key: _d_of(key) * prev
-            + n * seq.gen_trinomial(n, *key) * seq.gen_trinomial(n - 1, *key))
-# sum_{k=1..n} k^3 T_k(b,c) T_{k-1}(b,c) d^(n-k)
-_S15 = _Acc(1, lambda prev, n, key: _d_of(key) * prev
-            + n ** 3 * seq.gen_trinomial(n, *key) * seq.gen_trinomial(n - 1, *key))
 # sum_{k=0..n-1} (k+1)(k+2)(2k+3) M_k(b,c)^2 d^(n-1-k)
 _S16 = _Acc(1, lambda prev, n, key: _d_of(key) * prev
             + n * (n + 1) * (2 * n + 1) * seq.gen_motzkin(n - 1, *key) ** 2)
@@ -108,7 +102,8 @@ _S18_MUT = _Acc(1, lambda prev, n, _: 3 * prev
 # sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k)
 _S31 = _Acc(1, lambda prev, n, key: -_d_of(key) * prev
             + (2 * n - 1) * seq.gen_trinomial(n - 1, *key) ** 2)
-# sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k), keyed (b, c, delta)
+# sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k), keyed (b, c, delta); THM-1.3.a
+# reads delta = 0 and THM-1.3.b delta = 1
 _S411 = _Acc(1, lambda prev, n, key: _d_of(key[:2]) * prev
              + n ** (2 * key[2] + 1) * seq.gen_trinomial(n, *key[:2]) * seq.gen_trinomial(n - 1, *key[:2]))
 # Delannoy sums for (1.9)
@@ -285,7 +280,7 @@ def _check_thm_1_2(point):
 
 def _check_thm_1_3_a(point):
     b, c, n = point
-    total = _S14.at(n, (b, c))
+    total = _S411.at(n, (b, c, 0))
     divisor = abs(b) * (n * (n + 1) // 2)
     ok, rem = _divides(total, divisor)
     if not ok:
@@ -295,7 +290,7 @@ def _check_thm_1_3_a(point):
 
 def _check_thm_1_3_b(point):
     b, c, n = point
-    total = 3 * _S15.at(n, (b, c))
+    total = 3 * _S411.at(n, (b, c, 1))
     divisor = abs(b) * (n * (n + 1) // 2) ** 2
     ok, rem = _divides(total, divisor)
     if not ok:
@@ -815,14 +810,12 @@ def conj_5_9_prefactor() -> str:
     return value
 
 
-def _integrality_witness(poly: Poly, factor: Fraction):
-    """First non-integral coefficient of poly * factor, or None."""
-    scaled = poly.scaled(factor)
-    if scaled.is_integral():
-        return None
-    for i, coef in enumerate(scaled.coeffs):
-        if not isinstance(coef, int):
-            return i, coef
+def _integrality_witness(poly: Poly, g: int, den: int):
+    """First coefficient of poly * g/den that is not an integer, as
+    (index, reduced fraction), or None when poly * g/den is in Z[x]."""
+    for i, coef in enumerate(poly.coeffs):
+        if coef * g % den:
+            return i, Fraction(coef * g, den)
     return None
 
 
@@ -837,7 +830,7 @@ def _check_conj_5_2(point):
     else:  # "5.6", h > 1
         total = _P52_ALT.at(n, (h, m))
         g = 1
-    witness = _integrality_witness(total, Fraction(g, n * (n + 1) * (n + 2)))
+    witness = _integrality_witness(total, g, n * (n + 1) * (n + 2))
     if witness is not None:
         i, coef = witness
         return _fail(f"coefficient of x^{i} = {coef}", "an integer")
@@ -855,7 +848,7 @@ def _check_conj_5_3(point):
             g = gcd(2, m - 1, n)
         else:
             g = gcd(2 ** (m - 1), n)
-    witness = _integrality_witness(total, Fraction(g, n * (n + 1) * (n + 2)))
+    witness = _integrality_witness(total, g, n * (n + 1) * (n + 2))
     if witness is not None:
         i, coef = witness
         return _fail(f"coefficient of x^{i} = {coef}", "an integer")

@@ -133,20 +133,15 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _emit(reports, args) -> int:
+def _emit(reports, args, out) -> int:
     if args.format == "json":
         text = reports_to_json(reports)
     elif args.format == "csv":
         text = reports_to_csv(reports)
     else:
         text = "\n".join(format_report_human(r) for r in reports) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+    if out is not None:
+        out.write(text)
         summary = ", ".join(f"{r.claim}: {r.status}" for r in reports)
         print(f"wrote {args.out} ({summary})")
     else:
@@ -158,7 +153,7 @@ def _exit_code(reports) -> int:
     return 1 if any(r.status == "counterexample" for r in reports) else 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     overrides = _overrides_from(args)
     reports = []
     try:
@@ -172,10 +167,10 @@ def _cmd_verify(args) -> int:
     except InvalidRange as exc:
         print(f"error: invalid range: {exc}", file=sys.stderr)
         return 2
-    return _emit(reports, args)
+    return _emit(reports, args, out)
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args, out) -> int:
     overrides = _overrides_from(args)
     try:
         reports = run_suite(args.name, overrides or None, deep=args.deep,
@@ -186,7 +181,7 @@ def _cmd_suite(args) -> int:
     except InvalidRange as exc:
         print(f"error: invalid range: {exc}", file=sys.stderr)
         return 2
-    return _emit(reports, args)
+    return _emit(reports, args, out)
 
 
 def main(argv=None) -> int:
@@ -199,9 +194,16 @@ def main(argv=None) -> int:
     except InvalidSetting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_suite(args)
+    run = _cmd_verify if args.command == "verify" else _cmd_suite
+    if args.out is None:
+        return run(args, None)
+    try:  # like a shell redirection, --out is opened before any claim runs
+        out = open(args.out, "w")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        return run(args, out)
 
 
 if __name__ == "__main__":

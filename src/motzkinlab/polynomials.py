@@ -1,17 +1,16 @@
-"""Dense exact univariate polynomial arithmetic over int/Fraction
-coefficients, q-integers, q-binomials, cyclotomic polynomials, and the
-Schroder/Narayana polynomial families.
+"""Dense univariate polynomials over the integers: q-integers, q-binomials,
+cyclotomic polynomials, and the Schroder/Narayana polynomial families.
 
-Coefficients are stored in ascending degree order in a canonical form with
-no trailing zeros; the zero polynomial has degree ``None``.  Integer and
-Fraction coefficients may be mixed freely; Fractions that reduce to integers
-are normalized back to int.
+Coefficients are Python ints stored in ascending degree order with no
+trailing zeros; the zero polynomial has degree ``None``.  Every polynomial
+statement the claims check lives in Z[x] or Z[q], so division is exact
+division in Z[x]: a leading coefficient that does not divide raises
+``NotDivisible``.
 """
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from . import sequences
 
@@ -28,73 +27,16 @@ class NotDivisible(ArithmeticError):
         self.remainder = remainder
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-# Schoolbook multiplication below this operand length; Kronecker packing above.
-_KRON_MIN = 50
-
-
-def _mul_school(a: tuple, b: tuple) -> list:
+def _mul_coeffs(a, b) -> list:
+    """Schoolbook product of two coefficient sequences."""
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _kron_nonneg(a: list[int], b: list[int], width: int) -> list[int]:
-    """Multiply polynomials with nonnegative int coefficients by packing them
-    into big integers (width bytes per coefficient) and using int multiplication."""
-    pa = b"".join(c.to_bytes(width, "little") for c in a)
-    pb = b"".join(c.to_bytes(width, "little") for c in b)
-    n = int.from_bytes(pa, "little") * int.from_bytes(pb, "little")
-    nlen = len(a) + len(b) - 1
-    buf = n.to_bytes((nlen + 1) * width, "little")
-    return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(nlen)]
-
-
-def _split_signs(a: tuple) -> tuple[list[int], list[int]]:
-    pos = [c if c > 0 else 0 for c in a]
-    neg = [-c if c < 0 else 0 for c in a]
-    return pos, neg
-
-
-def _mul_kronecker(a: tuple, b: tuple) -> list:
-    bits = (max(abs(c) for c in a).bit_length()
-            + max(abs(c) for c in b).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) // 8
-    ap, an = _split_signs(a)
-    bp, bn = _split_signs(b)
-    nlen = len(a) + len(b) - 1
-    out = [0] * nlen
-
-    def acc(x, y, sign):
-        if any(x) and any(y):
-            prod = _kron_nonneg(x, y, width)
-            for i, v in enumerate(prod):
-                if v:
-                    out[i] += sign * v
-
-    acc(ap, bp, 1)
-    acc(an, bn, 1)
-    acc(ap, bn, -1)
-    acc(an, bp, -1)
-    return out
-
-
-def _mul_coeffs(a: tuple, b: tuple) -> list:
-    if not a or not b:
-        return []
-    if (len(a) >= _KRON_MIN and len(b) >= _KRON_MIN
-            and all(type(c) is int for c in a) and all(type(c) is int for c in b)):
-        return _mul_kronecker(a, b)
-    return _mul_school(a, b)
 
 
 def _fold(coeffs, n: int) -> list:
@@ -109,12 +51,15 @@ def _mul_cyclic(a, b, n: int) -> list:
 
 
 class Poly:
-    """Dense univariate polynomial with exact coefficients."""
+    """Dense univariate polynomial with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"Poly coefficients must be int, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -131,9 +76,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
-
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -143,7 +85,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == Poly((other,))
         return NotImplemented
 
@@ -177,7 +119,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Poly(tuple(c * other for c in self.coeffs)) if other else ZERO
         if isinstance(other, Poly):
             return Poly(_mul_coeffs(self.coeffs, other.coeffs))
@@ -211,10 +153,11 @@ class Poly:
         return acc
 
     def div_rem(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Long division: self = q * other + r with deg r < deg other.
+        """Long division in Z[x]: self = q * other + r with deg r < deg other.
 
-        Stays in integers while leading-coefficient divisions are exact,
-        lifting to Fractions otherwise.
+        Raises NotDivisible when a step needs a leading-coefficient division
+        that is not exact; it carries self minus the quotient found so far
+        times other.
         """
         if not isinstance(other, Poly):
             other = _coerce(other)
@@ -235,10 +178,11 @@ class Poly:
                 step = c
             elif lead == -1:
                 step = -c
-            elif isinstance(c, int) and isinstance(lead, int) and c % lead == 0:
+            elif c % lead == 0:
                 step = c // lead
             else:
-                step = Fraction(c) / Fraction(lead)
+                raise NotDivisible(f"leading coefficient {lead} does not divide {c}",
+                                   Poly(a))
             q[i - db] = step
             for j, y in enumerate(body):
                 if y:
@@ -250,21 +194,11 @@ class Poly:
         return self.div_rem(other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        """Return q with self = other * q, or raise NotDivisible.
-
-        For integer inputs the quotient must also be integer (divisibility
-        in Z[x], not Q[x]).
-        """
+        """Return q with self = other * q in Z[x], or raise NotDivisible."""
         q, r = self.div_rem(other)
         if not r.is_zero:
             raise NotDivisible(f"remainder {r.render()} is nonzero", r)
-        if self.is_integral() and other.is_integral() and not q.is_integral():
-            raise NotDivisible("quotient is not integer-coefficient", r)
         return q
-
-    def scaled(self, s) -> "Poly":
-        """Exact scalar multiple (s may be a Fraction)."""
-        return Poly(tuple(Fraction(c) * s for c in self.coeffs))
 
     def render(self, var: str = "x") -> str:
         """Canonical text form: 'c0 + c1*x + c2*x^2 + ...' with zero terms omitted."""
@@ -288,7 +222,7 @@ class Poly:
         return " ".join(parts)
 
     _TERM_RE = re.compile(
-        r"^(?:(?P<coef>\d+(?:/\d+)?)(?:\*(?=[A-Za-z]))?)?"
+        r"^(?:(?P<coef>\d+)(?:\*(?=[A-Za-z]))?)?"
         r"(?:(?P<var>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>\d+))?)?$"
     )
 
@@ -300,7 +234,7 @@ class Poly:
             raise ValueError("empty polynomial string")
         s = s.replace("-", "+-")
         terms = [t.strip() for t in s.split("+")]
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         var_seen = None
         for term in terms:
             if not term:
@@ -312,7 +246,7 @@ class Poly:
             m = cls._TERM_RE.match(term.replace(" ", ""))
             if not m or (m.group("coef") is None and m.group("var") is None):
                 raise ValueError(f"cannot parse polynomial term {term!r}")
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            coef = int(m.group("coef")) if m.group("coef") else 1
             if m.group("var"):
                 if var_seen is None:
                     var_seen = m.group("var")
@@ -321,10 +255,10 @@ class Poly:
                 exp = int(m.group("exp")) if m.group("exp") else 1
             else:
                 exp = 0
-            coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
+            coeffs[exp] = coeffs.get(exp, 0) + sign * coef
         if not coeffs:
             return ZERO
-        out = [Fraction(0)] * (max(coeffs) + 1)
+        out = [0] * (max(coeffs) + 1)
         for e, c in coeffs.items():
             out[e] = c
         return cls(out)
@@ -336,7 +270,7 @@ class Poly:
 def _coerce(value):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Poly((value,))
     return None
 

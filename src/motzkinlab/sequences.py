@@ -13,8 +13,9 @@ entry from the ones before it:
 with d = b^2 - 4c; every division is exact.  Motzkin, central trinomial,
 Delannoy and both Schroder sequences are reads of the two (b, c) families:
 M_n = M_n(1,1), T_n = T_n(1,1), D_n = T_n(3,2), s_n = M_(n-1)(3,2) and
-S_n = 2 s_n (n >= 1).  W_n alone is built from its defining sum, because the
-recurrence it satisfies is a claim the verifier checks (REC-W).
+S_n = 2 s_n (n >= 1).  W_n is read off T_n through the generating function
+W(x) = -(1 - 2x - 3x^2) T(x) / (1 - x)^2, not through the recurrence the
+verifier checks for it (REC-W).
 
 All tables, and the other caches of the package, are ``_PrefixCache``
 instances: a lookup that hits takes no lock, a fill takes the cache's one
@@ -242,16 +243,13 @@ def w_coeff(n: int, k: int) -> int:
     return q
 
 
-def _motzkin_analog_w_step(_w: list, n: int, _key) -> int:
-    # sum_k C(n, 2k) * C(2k, k)/(2k - 1); the k = 0 term is -1 and for k >= 1
-    # the weight C(2k, k)/(2k - 1) equals 2 * Catalan(k - 1)
-    cat = _CATALAN.prefix(max(n // 2, 1))
-    b = 1
-    tot = -1
-    for k in range(1, n // 2 + 1):
-        b = b * (n - 2 * k + 2) * (n - 2 * k + 1) // ((2 * k - 1) * (2 * k))
-        tot += b * 2 * cat[k - 1]
-    return tot
+def _motzkin_analog_w_step(w: list, n: int, _key) -> int:
+    # W(x) = -sqrt(1 - 2x - 3x^2)/(1 - x)^2 and T(x) = 1/sqrt(1 - 2x - 3x^2), so
+    # (1 - x)^2 W(x) = -(1 - 2x - 3x^2) T(x); negative indices read as 0
+    t0, t1, t2 = (_GEN_TRINOMIAL.at(i, (1, 1)) if i >= 0 else 0 for i in (n, n - 1, n - 2))
+    w1 = w[-1] if n >= 1 else 0
+    w2 = w[-2] if n >= 2 else 0
+    return 2 * w1 - w2 - (t0 - 2 * t1 - 3 * t2)
 
 
 _MOTZKIN_ANALOG_W = _PrefixCache(_motzkin_analog_w_step)

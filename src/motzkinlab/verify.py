@@ -46,12 +46,6 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 SUITES["all"] = SUITES["theorems"] + SUITES["lemmas"] + SUITES["identities"] + SUITES["conjectures"]
 
-# Claim subsets the congruence/polynomial entry points accept.
-CONGRUENCE_CLAIM_IDS = ("THM-1.1.ii", "LEM-2.4", "EQ-2.11", "CONJ-5.1.a",
-                        "CONJ-5.1.b", "REM-5.1", "LEM-3.4", "LEM-4.3")
-POLYNOMIAL_CLAIM_IDS = ("ID-2.3", "LEM-2.1.a", "LEM-4.5", "LEM-4.6", "REC-w",
-                        "EQ-4.13", "CONJ-5.2.abc", "CONJ-5.3.ab", "LEM-2.3")
-
 _TABLE_CAP = 20
 
 
@@ -200,27 +194,3 @@ def run_suite(suite: str, overrides: dict | None = None,
             executor.shutdown()
     return reports
 
-
-def verify_congruence_claims(claim_ids=None, overrides: dict | None = None,
-                             **kwargs) -> list[VerificationReport]:
-    """Run the congruence-style claims (all of them by default)."""
-    ids = tuple(claim_ids) if claim_ids is not None else CONGRUENCE_CLAIM_IDS
-    for cid in ids:
-        if cid not in CONGRUENCE_CLAIM_IDS:
-            raise UnknownClaim(f"{cid!r} is not a congruence claim")
-    return [verify_claim(cid, overrides, **kwargs) for cid in ids]
-
-
-def verify_polynomial_claims(claim_ids=None, overrides: dict | None = None,
-                             **kwargs) -> list[VerificationReport]:
-    """Run the polynomial identity/divisibility/integrality claims."""
-    ids = tuple(claim_ids) if claim_ids is not None else POLYNOMIAL_CLAIM_IDS
-    for cid in ids:
-        if cid not in POLYNOMIAL_CLAIM_IDS:
-            raise UnknownClaim(f"{cid!r} is not a polynomial claim")
-    return [verify_claim(cid, overrides, **kwargs) for cid in ids]
-
-
-def verify_sqrt_d_claims(overrides: dict | None = None, **kwargs) -> VerificationReport:
-    """Run the square-root-substitution identity over its (b, c, n) grid."""
-    return verify_claim("LEM-2.1.b", overrides, **kwargs)

@@ -16,10 +16,8 @@ from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
 from motzkinlab.polynomials import Poly, q_binomial, q_integer
 from motzkinlab.reports import (InvalidRange, reports_from_json,
                                 reports_to_csv, reports_to_json)
-from motzkinlab.verify import (CONGRUENCE_CLAIM_IDS, POLYNOMIAL_CLAIM_IDS,
-                               SUITES, UnknownClaim, UnknownSuite, run_suite,
-                               verify_claim, verify_congruence_claims,
-                               verify_polynomial_claims, verify_sqrt_d_claims)
+from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
+                               verify_claim)
 
 S_GOLDEN = [6, 23, 90, 432, 2286, 13176, 80418, 513764, 3400518, 23167311]
 T_GOLDEN = [51, 271, 1398, 8505, 54387, 367551, 2570931, 18510739, 136282347]
@@ -242,8 +240,9 @@ class TestConjecture53Interpretations:
         report = verify_claim("CONJ-5.3.ab", {"n_max": 6, "h_max": 1, "m_max": 1})
         assert report.params["notes"]["prefactor_5_9"] == "gcd(2^(m-1),n)"
         assert report.status == "counterexample"
-        assert report.counterexamples[0]["params"]["part"] == "5.9"
-        assert report.counterexamples[0]["params"]["m"] == 1
+        assert report.counterexamples[0] == {
+            "params": {"part": "5.9", "h": 1, "m": 1, "n": 2},
+            "lhs": "coefficient of x^1 = 7/2", "rhs": "an integer"}
 
 
 class TestMutationSensitivity:
@@ -293,7 +292,7 @@ def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, depende
 
 class TestSqrtDClaim:
     def test_perfect_square_pairs(self):
-        report = verify_sqrt_d_claims({"n_max": 20, "b_set": (3,), "c_set": (2, 0)})
+        report = verify_claim("LEM-2.1.b", {"n_max": 20, "b_set": (3,), "c_set": (2, 0)})
         assert report.status == "verified"
         assert report.params["checked"] == 2 * 21
 
@@ -307,7 +306,7 @@ class TestSqrtDClaim:
             assert 3 ** n * s_poly(n + 1)(0) == seq.gen_motzkin(n, 3, 0) == 3 ** n
 
     def test_extension_branch(self):
-        report = verify_sqrt_d_claims({"n_max": 15, "b_set": (1,), "c_set": (1,)})
+        report = verify_claim("LEM-2.1.b", {"n_max": 15, "b_set": (1,), "c_set": (1,)})
         assert report.status == "verified"
         assert report.params["checked"] == 16
 
@@ -338,19 +337,6 @@ class TestEngine:
         report = verify_claim("THM-1.3.a", {"n_max": 5, "b_set": (2,), "c_set": (1,)})
         assert report.status == "skipped"
         assert report.params["checked"] == 0
-
-    def test_congruence_subset_guard(self):
-        with pytest.raises(UnknownClaim):
-            verify_congruence_claims(["ID-2.3"])
-        reports = verify_congruence_claims(["LEM-4.3"], {"n_max": 10})
-        assert reports[0].status == "verified"
-
-    def test_polynomial_subset_guard(self):
-        with pytest.raises(UnknownClaim):
-            verify_polynomial_claims(["THM-1.1.i"])
-        reports = verify_polynomial_claims(["ID-2.3", "LEM-4.5"], {"n_max": 8})
-        assert all(r.status == "verified" for r in reports)
-        assert CONGRUENCE_CLAIM_IDS and POLYNOMIAL_CLAIM_IDS
 
     def test_parallel_determinism_single_claim(self):
         kw = {"n_max": 25}

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 
+from motzkinlab import cli
 from motzkinlab.cli import main
 from motzkinlab.reports import reports_from_json
 
@@ -92,7 +93,18 @@ class TestVerify:
         assert err.splitlines() == [
             "error: unsupported MOTZKINLAB_CONJ59_PREFACTOR 'bogus'"]
 
-    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+    def test_empty_prime_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "THM-1.1.ii",
+                                 "--prime-min", "50", "--prime-max", "10")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: invalid range: prime_lo 50 exceeds prime_hi 10"]
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a claim ran before --out was found unwritable")
+
+        monkeypatch.setattr(cli, "verify_claim", must_not_run)
         path = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "verify", "MUT-ID-1.8", "--out", str(path))
         assert code == 2

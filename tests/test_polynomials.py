@@ -21,6 +21,18 @@ small_ints = st.integers(-50, 50)
 coeff_lists = st.lists(small_ints, min_size=0, max_size=8)
 
 
+def assert_product_by_evaluation(pa, pb, prod):
+    """prod = pa * pb, checked without multiplying coefficient lists: the
+    degree adds up, and the values agree at deg + 1 distinct integers, which
+    determine a polynomial of that degree."""
+    if pa.is_zero or pb.is_zero:
+        assert prod.is_zero
+        return
+    assert prod.degree == pa.degree + pb.degree
+    for x in range(-(prod.degree // 2), prod.degree - prod.degree // 2 + 1):
+        assert prod(x) == pa(x) * pb(x)
+
+
 class TestRingOps:
     def test_difference_of_squares(self):
         assert (Q + 1) * (Q - 1) == Poly((-1, 0, 1))
@@ -38,17 +50,17 @@ class TestRingOps:
     def test_scalar_and_fraction_ops(self):
         p = Poly((1, 2))
         assert 3 * p == Poly((3, 6))
-        assert p.scaled(Fraction(1, 2)) == Poly((Fraction(1, 2), 1))
-        assert not p.scaled(Fraction(1, 2)).is_integral()
-        assert (2 * p).scaled(Fraction(1, 2)).is_integral()
+        assert p * 0 == ZERO
+        with pytest.raises(TypeError):
+            p * Fraction(1, 2)
+        with pytest.raises(TypeError):
+            p + Fraction(1, 2)
 
-    def test_integral_fractions_normalise_to_int(self):
-        p = Poly((Fraction(4, 2), 3))
-        assert p.coeffs == (2, 3)
-        assert all(type(c) is int for c in p.coeffs)
-        mixed = Poly((1, Fraction(3, 2), Fraction(6, 3), 0, Fraction(0, 5)))
-        assert mixed.coeffs == (1, Fraction(3, 2), 2)
-        assert [type(c) for c in mixed.coeffs] == [int, Fraction, int]
+    def test_fraction_coefficients_are_rejected(self):
+        with pytest.raises(TypeError):
+            Poly((Fraction(1, 2),))
+        with pytest.raises(TypeError):
+            Poly((1, Fraction(4, 2)))
 
     def test_zero_degree_sentinel(self):
         assert ZERO.degree is None
@@ -62,18 +74,15 @@ class TestRingOps:
         pa, pb = Poly(a), Poly(b)
         prod = pa * pb
         assert prod == pb * pa
-        if pa.coeffs and pb.coeffs:
-            assert prod == Poly(poly._mul_school(pa.coeffs, pb.coeffs))
+        assert_product_by_evaluation(pa, pb, prod)
 
     @given(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=60, max_size=90),
            st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=60, max_size=90))
     @settings(max_examples=20, deadline=None)
     def test_kronecker_path_matches_schoolbook(self, a, b):
-        # operands above the size threshold take the packed-integer path
+        # long operands with large signed coefficients
         pa, pb = Poly(a), Poly(b)
-        if pa.is_zero or pb.is_zero:
-            return
-        assert pa * pb == Poly(poly._mul_school(pa.coeffs, pb.coeffs))
+        assert_product_by_evaluation(pa, pb, pa * pb)
 
     @given(coeff_lists, coeff_lists, coeff_lists, st.integers(-9, 9))
     @settings(max_examples=150, deadline=None)
@@ -104,13 +113,15 @@ class TestExactDivision:
         # q^2 = (2q) * (q/2) only over the rationals
         with pytest.raises(NotDivisible):
             Poly((0, 0, 1)).exact_div(Poly((0, 2)))
+        # long division stays in Z[x]: 2 does not divide the leading 3 of 3x^2 + 1
+        with pytest.raises(NotDivisible):
+            Poly((1, 0, 3)).div_rem(Poly((1, 2)))
+        assert Poly((1, 0, 4)).div_rem(Poly((1, 2))) == (Poly((-1, 2)), Poly((2,)))
 
-    @given(coeff_lists, st.lists(small_ints, min_size=1, max_size=5))
+    @given(coeff_lists, st.lists(small_ints, min_size=0, max_size=4), st.sampled_from((1, -1)))
     @settings(max_examples=150, deadline=None)
-    def test_div_rem_reconstructs(self, a, b):
-        pa, pb = Poly(a), Poly(b)
-        if pb.is_zero:
-            return
+    def test_div_rem_reconstructs(self, a, b, lead):
+        pa, pb = Poly(a), Poly(b + [lead])
         q, r = pa.div_rem(pb)
         assert q * pb + r == pa
         assert r.is_zero or r.degree < pb.degree
@@ -287,7 +298,6 @@ class TestRenderParse:
         assert Poly.parse("1 + q + q^2") == q_integer(3)
         assert Poly.parse("0") == ZERO
         assert Poly.parse("-x + 3*x^3") == Poly((0, -1, 0, 3))
-        assert Poly.parse("1/2 + 3/4*x") == Poly((Fraction(1, 2), Fraction(3, 4)))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -301,9 +311,6 @@ class TestRenderParse:
         p = Poly(coeffs)
         assert Poly.parse(p.render()) == p
 
-    @given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=9),
-                    min_size=0, max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_fractions(self, coeffs):
-        p = Poly(coeffs)
-        assert Poly.parse(p.render("t")) == p
+    def test_parse_rejects_fractions(self):
+        with pytest.raises(ValueError):
+            Poly.parse("1/2 + x")
