@@ -3,12 +3,15 @@
 Exit codes: 0 all requested claims verified; 1 at least one counterexample
 (witnesses are in the report output); 2 usage errors (unknown sequence,
 claim, suite, malformed flags, an unsupported MOTZKINLAB_CONJ59_PREFACTOR,
-or an --out path that cannot be written).
+or an --out path that cannot be written); 3 an internal error (an exception
+raised while checking), reported as one "error: internal error: ..." line
+and its traceback on stderr, never as a refutation.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import sequences as seq
 from .claims import InvalidSetting, conj_5_9_prefactor
@@ -195,15 +198,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run = _cmd_verify if args.command == "verify" else _cmd_suite
-    if args.out is None:
-        return run(args, None)
-    try:  # like a shell redirection, --out is opened before any claim runs
-        out = open(args.out, "w")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
-    with out:
+    out = None
+    if args.out is not None:
+        try:  # like a shell redirection, --out is opened before any claim runs
+            out = open(args.out, "w")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+    try:
         return run(args, out)
+    except Exception as exc:  # a crash must not read as a counterexample (exit 1)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
+    finally:
+        if out is not None:
+            out.close()
 
 
 if __name__ == "__main__":

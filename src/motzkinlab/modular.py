@@ -1,12 +1,7 @@
-"""Prime generation, Legendre symbols, modular inverses, Fermat quotients."""
+"""Prime generation, Legendre symbols, Fermat quotients."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-
-
-class NotInvertible(ArithmeticError):
-    pass
 
 
 # Deterministic Miller-Rabin witness set for n < 2^64.
@@ -54,21 +49,6 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
 
 
-@dataclass(frozen=True)
-class PrimeRange:
-    """Inclusive prime range; iterating yields the primes in [lo, hi]."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo < 2 or self.hi < self.lo:
-            raise ValueError("PrimeRange: need 2 <= lo <= hi")
-
-    def __iter__(self):
-        return iter(primes_in(self.lo, self.hi))
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p."""
     if p == 2 or not is_prime(p):
@@ -78,16 +58,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """b in [0, m) with a*b = 1 (mod m); NotInvertible when gcd(a, m) != 1."""
-    if m <= 0:
-        raise ValueError("mod_inverse: modulus must be positive")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{a} has no inverse modulo {m}") from None
 
 
 def fermat_quotient(a: int, p: int) -> int:

@@ -1,5 +1,5 @@
 """Dense univariate polynomials over the integers: q-integers, q-binomials,
-cyclotomic polynomials, and the Schroder/Narayana polynomial families.
+and the Schroder/Narayana polynomial families.
 
 Coefficients are Python ints stored in ascending degree order with no
 trailing zeros; the zero polynomial has degree ``None``.  Every polynomial
@@ -10,7 +10,6 @@ division in Z[x]: a leading coefficient that does not divide raises
 from __future__ import annotations
 
 import math
-import re
 
 from . import sequences
 
@@ -75,9 +74,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -221,48 +217,6 @@ class Poly:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    _TERM_RE = re.compile(
-        r"^(?:(?P<coef>\d+)(?:\*(?=[A-Za-z]))?)?"
-        r"(?:(?P<var>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>\d+))?)?$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "Poly":
-        """Parse the ``render`` format back into a polynomial."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial string")
-        s = s.replace("-", "+-")
-        terms = [t.strip() for t in s.split("+")]
-        coeffs: dict[int, int] = {}
-        var_seen = None
-        for term in terms:
-            if not term:
-                continue
-            sign = 1
-            if term.startswith("-"):
-                sign = -1
-                term = term[1:].strip()
-            m = cls._TERM_RE.match(term.replace(" ", ""))
-            if not m or (m.group("coef") is None and m.group("var") is None):
-                raise ValueError(f"cannot parse polynomial term {term!r}")
-            coef = int(m.group("coef")) if m.group("coef") else 1
-            if m.group("var"):
-                if var_seen is None:
-                    var_seen = m.group("var")
-                elif var_seen != m.group("var"):
-                    raise ValueError("mixed variable names in polynomial string")
-                exp = int(m.group("exp")) if m.group("exp") else 1
-            else:
-                exp = 0
-            coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-        if not coeffs:
-            return ZERO
-        out = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            out[e] = c
-        return cls(out)
-
     def __repr__(self):
         return f"Poly({self.render()!r})"
 
@@ -277,7 +231,6 @@ def _coerce(value):
 
 ZERO = Poly()
 ONE = Poly((1,))
-X = Poly((0, 1))
 
 
 def q_integer(n: int) -> Poly:
@@ -317,37 +270,6 @@ def q_binomial(n: int, k: int) -> Poly:
     if k > n:
         return ZERO
     return _Q_ROWS.at(n)[k]
-
-
-def _mobius(m: int) -> int:
-    """Moebius function by trial division."""
-    mu, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if m > 1 else mu
-
-
-def cyclotomic(n: int) -> Poly:
-    """n-th cyclotomic polynomial by the Moebius product
-    prod_{d | n} (q^d - 1)^mu(n/d): the mu = +1 factors divided exactly by
-    the mu = -1 factors."""
-    if n < 1:
-        raise ValueError("cyclotomic: n must be >= 1")
-    num, den = ONE, ONE
-    for d in range(1, n + 1):
-        mu = _mobius(n // d) if n % d == 0 else 0
-        if mu:
-            factor = Poly((-1,) + (0,) * (d - 1) + (1,))
-            if mu > 0:
-                num = num * factor
-            else:
-                den = den * factor
-    return num.exact_div(den)
 
 
 def s_poly(n: int) -> Poly:

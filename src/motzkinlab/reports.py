@@ -3,7 +3,7 @@
 The JSON schema per report is fixed: claim, params, status, counterexamples,
 table, elapsed_ms, in that order.  ``params`` carries the effective range,
 the number of checked points, skipped points with reasons, and any
-claim-specific notes, so a report round-trips losslessly.
+claim-specific notes, so a report describes its own run.
 """
 from __future__ import annotations
 
@@ -88,28 +88,12 @@ class VerificationReport:
         out["elapsed_ms"] = round(self.elapsed_ms, 3) if include_elapsed else None
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            claim=d["claim"],
-            params=d["params"],
-            status=d["status"],
-            counterexamples=d["counterexamples"],
-            table=d["table"],
-            elapsed_ms=d["elapsed_ms"] if d.get("elapsed_ms") is not None else 0.0,
-        )
-
 
 def reports_to_json(reports: list[VerificationReport], *, include_elapsed: bool = True) -> str:
     return json.dumps(
         [r.to_json_dict(include_elapsed=include_elapsed) for r in reports],
         indent=2,
     )
-
-
-def reports_from_json(text: str) -> list[VerificationReport]:
-    data = json.loads(text)
-    return [VerificationReport.from_json_dict(d) for d in data]
 
 
 _CSV_COLUMNS = ("claim", "param", "status", "lhs", "rhs", "witness")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 _CACHES: list[_PrefixCache] = []
 
@@ -76,21 +75,6 @@ def _reset_caches() -> None:
     for cache in _CACHES:
         with cache._lock:
             cache._data.clear()
-
-
-@dataclass(frozen=True)
-class TrinomialParams:
-    """Parameter pair (b, c) for the generalized trinomial/Motzkin families.
-
-    The discriminant d = b^2 - 4c is always derived, never stored.
-    """
-
-    b: int
-    c: int
-
-    @property
-    def d(self) -> int:
-        return self.b * self.b - 4 * self.c
 
 
 def binomial(n: int, k: int) -> int:

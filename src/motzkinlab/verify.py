@@ -8,6 +8,7 @@ result stream at the first counterexample.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -85,7 +86,7 @@ def _eval_chunk(claim_id: str, rng: ParamRange, lo: int, hi: int) -> list:
     """Evaluate points [lo, hi) of a claim's ordered point list (worker entry)."""
     claim = CLAIMS[claim_id]
     out = []
-    for point in list(claim.points(rng))[lo:hi]:
+    for point in itertools.islice(claim.points(rng), lo, hi):
         if isinstance(point, Skip):
             out.append(("skip", point.point, point.reason))
         else:

@@ -7,15 +7,17 @@ under parallelism.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from motzkinlab import sequences as seq
+import motzkinlab
+from motzkinlab import claims, sequences as seq
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
                                s_quotient, t_quotient)
-from motzkinlab.polynomials import Poly, q_binomial, q_integer
-from motzkinlab.reports import (InvalidRange, reports_from_json,
-                                reports_to_csv, reports_to_json)
+from motzkinlab.polynomials import Poly, ZERO, q_binomial, q_integer, s_poly, w_poly
+from motzkinlab.reports import InvalidRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
 
@@ -298,7 +300,6 @@ class TestSqrtDClaim:
 
     def test_square_branch_values(self):
         # (b, c) = (3, 2): d = 1, x = 1, so the value is the little Schroder number
-        from motzkinlab.polynomials import s_poly
         for n in range(6):
             assert s_poly(n + 1)(1) == seq.gen_motzkin(n, 3, 2)
         # (b, c) = (3, 0): d = 9, x = 0, value 3^n
@@ -309,6 +310,67 @@ class TestSqrtDClaim:
         report = verify_claim("LEM-2.1.b", {"n_max": 15, "b_set": (1,), "c_set": (1,)})
         assert report.status == "verified"
         assert report.params["checked"] == 16
+
+    def test_pair_matches_independent_evaluation(self):
+        # every b, c in [-4, 4] with d != 0 (b = 0 included, which no default
+        # grid reaches) and n <= 20, against an evaluation that shares nothing
+        # with the checker but s_(n+1)'s coefficients
+        for b in range(-4, 5):
+            for c in range(-4, 5):
+                d = b * b - 4 * c
+                if d == 0:
+                    continue
+                for n in range(21):
+                    assert claims._lem_2_1_b_pair(b, d, n) == _lem_2_1_b_oracle(b, d, n)
+                    assert claims._check_lem_2_1_b((b, c, n)) == ("ok", None)
+
+    @pytest.mark.parametrize("b, c", [(3, 2), (1, 1)], ids=["d=1", "d=-3"])
+    def test_perturbed_s_poly_coefficient_is_caught(self, b, c):
+        seq._reset_caches()
+        try:
+            claims._S_POLY.prefix(12)
+            s8 = list(claims._S_POLY._data[()][7].coeffs)  # s_8, read at n = 7
+            s8[3] += 1
+            claims._S_POLY._data[()][7] = Poly(s8)
+            report = verify_claim("LEM-2.1.b", {"n_max": 10, "b_set": [b], "c_set": [c]})
+            assert report.status == "counterexample"
+            assert [ce["params"] for ce in report.counterexamples] == [{"b": b, "c": c, "n": 7}]
+        finally:
+            seq._reset_caches()
+        assert verify_claim("LEM-2.1.b", {"n_max": 10, "b_set": [b], "c_set": [c]}).status == "verified"
+
+
+def _lem_2_1_b_oracle(b: int, d: int, n: int) -> tuple:
+    """(u, v) with u + v*y = 2^n y^n s_(n+1)((b - y)/(2y)) in Z[y]/(y^2 - d).
+
+    For a square d = r^2 the pair is read off the rational values at y = r
+    and y = -r; otherwise sum_k a_k (2y)^(n-k) (b - y)^k is expanded in Z[y]
+    and reduced mod y^2 - d."""
+    s = s_poly(n + 1)
+    r = isqrt(d) if d > 0 else 0
+    if d > 0 and r * r == d:
+        plus, minus = (Fraction(2 * y) ** n * s(Fraction(b - y, 2 * y)) for y in (r, -r))
+        return (plus + minus) / 2, (plus - minus) / (2 * r)
+    total = ZERO
+    for k, a in enumerate(s.coeffs):
+        total = total + Poly((0, 2)) ** (n - k) * Poly((b, -1)) ** k * a
+    rem = total % Poly((-d, 0, 1))
+    return (rem.coeffs + (0, 0))[:2]
+
+
+def test_rec_w_is_pinned_at_offset_0(monkeypatch):
+    # a w-family shifted by one index satisfies the recurrence at offset -1;
+    # with the offset pinned at 0 it must be refuted
+    shifted = seq._PrefixCache(lambda _prefix, n, h: w_poly(n + 1, h), start=1)
+    monkeypatch.setattr(claims, "_W_POLY", shifted)
+    report = verify_claim("REC-w", {"n_max": 10})
+    assert report.status == "counterexample"
+    assert report.params["notes"]["index_offset"] == 0
+
+
+def test_every_export_resolves():
+    missing = [name for name in motzkinlab.__all__ if not hasattr(motzkinlab, name)]
+    assert missing == []
 
 
 class TestEngine:
@@ -376,13 +438,6 @@ class TestEngine:
 
 
 class TestReportSerialization:
-    def test_json_round_trip(self):
-        reports = [verify_claim("THM-1.1.i", {"n_max": 12}),
-                   verify_claim("MUT-ID-1.8", {"n_max": 3})]
-        text = reports_to_json(reports)
-        back = reports_from_json(text)
-        assert [r.to_json_dict() for r in back] == [r.to_json_dict() for r in reports]
-
     def test_json_field_order(self):
         report = verify_claim("LEM-4.3", {"n_max": 5})
         d = report.to_json_dict()

@@ -1,14 +1,14 @@
 """End-to-end CLI tests: exit codes, output formats, ordering invariance."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 
-from motzkinlab import cli
+from motzkinlab import claims, cli
 from motzkinlab.cli import main
-from motzkinlab.reports import reports_from_json
 
 W_VALUES = [-1, -1, 1, 5, 13, 29, 63, 139, 317, 749, 1827, 4575, 11699]
 
@@ -113,6 +113,18 @@ class TestVerify:
         assert err.startswith(f"error: cannot write {path}: ")
         assert not path.exists()
 
+    def test_crash_in_a_checker_exits_3(self, capsys, monkeypatch):
+        def crash(point):
+            raise ZeroDivisionError(f"boom at {point}")
+
+        claim = claims.CLAIMS["LEM-4.3"]
+        monkeypatch.setitem(claims.CLAIMS, "LEM-4.3", dataclasses.replace(claim, check=crash))
+        code, out, err = run_cli(capsys, "verify", "LEM-4.3", "--n-max", "3")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[0] == "error: internal error: ZeroDivisionError: boom at 0"
+        assert "Traceback (most recent call last):" in err
+
     def test_grid_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "THM-1.3.a", "--n-max", "6",
                                "--b-set", "1..2", "--c-set=-1,1",
@@ -149,10 +161,9 @@ class TestSuite:
                                "--out", str(path))
         assert code == 0
         assert str(path) in out
-        text = path.read_text()
-        reports = reports_from_json(text)
-        assert [r.claim for r in reports][0] == "ID-1.8"
-        for r in json.loads(text):
+        reports = json.loads(path.read_text())
+        assert reports[0]["claim"] == "ID-1.8"
+        for r in reports:
             assert list(r) == ["claim", "params", "status", "counterexamples",
                                "table", "elapsed_ms"]
 

@@ -1,14 +1,11 @@
-"""Modular arithmetic tests: Legendre symbols, inverses, Fermat quotients, primes."""
+"""Modular arithmetic tests: Legendre symbols, Fermat quotients, primes."""
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motzkinlab.modular import (NotInvertible, PrimeRange, fermat_quotient,
-                                is_prime, legendre, mod_inverse, primes_in)
+from motzkinlab.modular import fermat_quotient, is_prime, legendre, primes_in
 
 
 def trial_division_primes(hi: int) -> list[int]:
@@ -31,13 +28,6 @@ class TestPrimes:
 
     def test_matches_trial_division(self):
         assert primes_in(2, 500) == trial_division_primes(500)
-
-    def test_prime_range_iterates(self):
-        assert list(PrimeRange(10, 30)) == [11, 13, 17, 19, 23, 29]
-        with pytest.raises(ValueError):
-            PrimeRange(1, 10)
-        with pytest.raises(ValueError):
-            PrimeRange(10, 5)
 
     def test_is_prime(self):
         assert is_prime(2) and is_prime(97) and is_prime(2 ** 31 - 1)
@@ -91,26 +81,6 @@ class TestLegendre:
         # (3/p)(p/3) = (-1)^((p-1)/2) for odd primes p != 3
         for p in primes_in(5, 200):
             assert legendre(3, p) * legendre(p, 3) == (-1) ** ((p - 1) // 2)
-
-
-class TestModInverse:
-    def test_small(self):
-        assert mod_inverse(3, 5) == 2
-
-    def test_not_invertible(self):
-        with pytest.raises(NotInvertible):
-            mod_inverse(2, 4)
-
-    @given(st.integers(1, 10 ** 6), st.integers(2, 10 ** 6))
-    @settings(max_examples=300, deadline=None)
-    def test_inverse_property(self, a, m):
-        if math.gcd(a, m) != 1:
-            with pytest.raises(NotInvertible):
-                mod_inverse(a, m)
-        else:
-            b = mod_inverse(a, m)
-            assert 0 <= b < m
-            assert a * b % m == 1
 
 
 class TestFermatQuotient:

@@ -314,8 +314,3 @@ class TestCaching:
         assert errors == []
         assert len(got) == 20 * n_threads * len(keys)
         assert all(values == expected[key] for key, values in got)
-
-    def test_trinomial_params_derives_d(self):
-        p = seq.TrinomialParams(b=3, c=2)
-        assert p.d == 1
-        assert seq.TrinomialParams(b=2, c=1).d == 0
