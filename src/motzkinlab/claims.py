@@ -2,9 +2,9 @@
 
 Every numbered identity, divisibility, congruence, and conjecture over the
 sequence/polynomial families is registered here as a ``Claim``: a parameter
-grid plus an exact-arithmetic point checker.  Checkers return
-``("ok", derived)`` / ``("fail", lhs, rhs)`` / ``("skip", reason)``; the
-engine in ``verify`` turns ordered point results into reports.
+grid plus an exact-arithmetic point checker returning ``("ok", derived)``
+or ``("fail", lhs, rhs)``; grids yield ``Skip`` outside a claim's domain,
+and the engine in ``verify`` turns ordered point results into reports.
 
 Four deliberately broken variants (MUT-*) are registered alongside the real
 claims; they must produce counterexamples and exist to prove the verifiers
@@ -12,11 +12,10 @@ are not vacuous.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
@@ -117,9 +116,8 @@ _S111 = _Acc(1, lambda prev, n, _: n * (n + 1) * (2 * n + 1) * seq.schroder_litt
 _SW52 = _Acc(1, lambda prev, n, _: prev + (8 * n + 1) * seq.motzkin_analog_w(n - 1) ** 2)
 # sum_{k=0..n-1} W_k^2
 _SW51 = _Acc(1, lambda prev, n, _: prev + seq.motzkin_analog_w(n - 1) ** 2)
-# double sum of F(k, l) from the (2k+1)M_k^2 telescoping (rows are zero for l > k)
-_E28_LHS = _Acc(0, lambda prev, n, _: prev + sum(_f28(n, l) for l in range(n + 1)),
-                init=Fraction(0))
+# double sum of F(k, l) from the (2k+1)M_k^2 telescoping, one integer row per k
+_E28_LHS = _Acc(0, lambda prev, n, _: prev + _e28_row(n))
 # polynomial accumulators
 _P46 = _Acc(1, lambda prev, n, _: _W_POLY.at(n, 1) * _W_POLY.at(n, 1) * (n * (n + 1) * (2 * n + 1))
             - prev, init=ZERO)
@@ -149,12 +147,14 @@ def _a_coeff(n: int, k: int) -> int:
             - 4 * n ** 3 + 13 * k * k - 11 * k * n - 26 * n * n + 39 * k + 4 * n + 26)
 
 
-def _f28(k: int, l: int) -> Fraction:
-    if l > k:
-        return Fraction(0)
-    return (Fraction(2 * k + 1, (k + 1) * (k + 2))
-            * comb(k + l + 2, 2 * l + 2) * comb(2 * l + 2, l + 1) * comb(2 * l + 2, l)
-            * (-3) ** (k - l))
+def _e28_row(k: int) -> int:
+    """sum_l F(k, l); by REM-2.1 at b = c = 1 it is (2k+1)*M_k^2, so the division is exact."""
+    total = sum(comb(k + l + 2, 2 * l + 2) * comb(2 * l + 2, l + 1) * comb(2 * l + 2, l)
+                * (-3) ** (k - l) for l in range(k + 1))
+    q, r = divmod(total, (k + 1) * (k + 2))
+    if r:
+        raise NonIntegral(f"EQ-2.8 row {k}: remainder {r}", r)
+    return (2 * k + 1) * q
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +167,6 @@ def _ok(derived=None):
 
 def _fail(lhs, rhs):
     return ("fail", str(lhs), str(rhs))
-
-
-def _skip(reason: str):
-    return ("skip", reason)
 
 
 def _divides(value: int, divisor: int):
@@ -196,11 +192,8 @@ def _n_points(lo: int = 1, hi_field: str = "n_max"):
     return points
 
 
-def _prime_points(min_exclusive: int = 3):
-    def points(rng: ParamRange):
-        lo = max(rng.prime_lo, min_exclusive + 1)
-        return iter(modular.primes_in(lo, rng.prime_hi))
-    return points
+def _prime_points(rng: ParamRange):  # primes p > 3
+    return iter(modular.primes_in(max(rng.prime_lo, 5), rng.prime_hi))
 
 
 def _grid_points(*, d_nonzero: bool = False, b_nonzero: bool = False, n_lo: int = 1,
@@ -412,16 +405,20 @@ def _check_lem_2_2(point):
     return _ok()
 
 
+def _eq_2_8_sum(n: int) -> int:
+    """n+2 times EQ-2.8's single sum, with (n+j+3)!(2j+3)!/((n-j)!(j+2)(j+1)!^4)
+    = (j+2)C(n+j+3,2j+3)C(2j+3,j+1)^2."""
+    return sum((-3) ** (n - j) * (4 * n - 2 * j + 1) * (j + 2)
+               * comb(n + j + 3, 2 * j + 3) * comb(2 * j + 3, j + 1) ** 2 for j in range(n + 1))
+
+
 def _check_eq_2_8(point):
     n = point
     lhs = _E28_LHS.at(n)
-    rhs = Fraction(1 + (4 * n + 3) * (-3) ** (n + 1))
-    for j in range(n + 1):
-        rhs += Fraction((-3) ** (n - j) * (4 * n - 2 * j + 1)
-                        * math.factorial(n + j + 3) * math.factorial(2 * j + 3),
-                        (n + 2) * math.factorial(n - j) * (j + 2) * math.factorial(j + 1) ** 4)
-    if lhs != rhs:
-        return _fail(f"double sum = {lhs}", f"telescoped form = {rhs}")
+    base = 1 + (4 * n + 3) * (-3) ** (n + 1)
+    total = _eq_2_8_sum(n)
+    if (n + 2) * (lhs - base) != total:
+        return _fail(f"double sum = {lhs}", f"telescoped form = {base + Fraction(total, n + 2)}")
     return _ok()
 
 
@@ -540,6 +537,12 @@ def _check_eq_3_partial(point):
     return _ok()
 
 
+def _eq_3_4_sum(n: int) -> int:
+    """9/2 times EQ-3.4's right side: (n+k)!(2k)!/((n-k-1)!k!^4(k+1)) = C(n+k,2k+1)C(2k,k)C(2k+1,k)."""
+    return sum(_a_coeff(n, k) * (-3) ** (n - k) * comb(n + k, 2 * k + 1)
+               * comb(2 * k, k) * comb(2 * k + 1, k) for k in range(n))
+
+
 def _check_eq_3_4(point):
     n = point
     c1 = 16 * n * n - 30 * n + 21
@@ -550,14 +553,9 @@ def _check_eq_3_4(point):
         for l in range(k + 1):
             row += comb(k + l, 2 * l) * comb(2 * l, l) ** 2 * (-3) ** (k - l)
         lhs += (2 * k + 1) * outer * row
-    rhs = Fraction(0)
-    for k in range(n):
-        rhs += Fraction(_a_coeff(n, k) * (-3) ** (n - k)
-                        * math.factorial(n + k) * math.factorial(2 * k),
-                        math.factorial(n - k - 1) * math.factorial(k) ** 4 * (k + 1))
-    rhs = Fraction(2, 9) * rhs
-    if lhs != rhs:
-        return _fail(f"double sum = {lhs}", f"telescoped form = {rhs}")
+    total = _eq_3_4_sum(n)
+    if 9 * lhs != 2 * total:
+        return _fail(f"double sum = {lhs}", f"telescoped form = {Fraction(2 * total, 9)}")
     return _ok()
 
 
@@ -670,15 +668,21 @@ def _check_eq_4_10(point):
     return _ok()
 
 
+def _eq_4_11_sum(b: int, c: int, delta: int, n: int) -> tuple[int, int]:
+    """(L, 2L times EQ-4.11's closed form); each denominator j+delta+1 divides L = lcm(1..n+delta)."""
+    d = b * b - 4 * c
+    big_l = lcm(*range(1, n + delta + 1))
+    return big_l, b * (n * (n + 1)) ** (delta + 1) * sum(
+        comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j) * (big_l // (j + delta + 1))
+        * c ** j * d ** (n - 1 - j) for j in range(n))
+
+
 def _check_eq_4_11(point):
     b, c, delta, n = point
-    d = b * b - 4 * c
-    lhs = Fraction(_S411.at(n, (b, c, delta)))
-    rhs = Fraction(b, 2) * (n * (n + 1)) ** (delta + 1) * sum(
-        comb(n - 1, j) * comb(n + j + 1, j) * Fraction(comb(2 * j, j), j + delta + 1)
-        * c ** j * d ** (n - 1 - j) for j in range(n))
-    if lhs != rhs:
-        return _fail(f"weighted T-sum = {lhs}", f"closed form = {rhs}")
+    lhs = _S411.at(n, (b, c, delta))
+    big_l, total = _eq_4_11_sum(b, c, delta, n)
+    if 2 * big_l * lhs != total:
+        return _fail(f"weighted T-sum = {lhs}", f"closed form = {Fraction(total, 2 * big_l)}")
     return _ok()
 
 
@@ -759,9 +763,6 @@ def _check_conj_5_1_a(point):
 
 def _check_conj_5_1_b(point):
     p = point
-    if p == 3:
-        return _skip("the symbols (p/3) and (3/p) vanish at p = 3; "
-                     "the congruence is outside their domain")
     total = _SW52.at(p)
     if total % p:
         return _fail(f"sum = {total}", f"0 (mod p = {p}); p must divide the sum")
@@ -904,6 +905,13 @@ def _points_conj_5_3(rng: ParamRange):
                     yield (part, h, m, n)
 
 
+def _points_conj_5_1_b(rng: ParamRange):
+    if rng.prime_lo <= 3 <= rng.prime_hi:
+        yield Skip({"p": 3}, "the symbols (p/3) and (3/p) vanish at p = 3; "
+                             "the congruence is outside their domain")
+    yield from _prime_points(rng)
+
+
 def _points_lem_2_3(rng: ParamRange):
     # exponent a = 0 falsifies the congruence (already at q = 1), so the
     # valid grid starts at a = 1; b = 0 is fine
@@ -953,8 +961,8 @@ def _register(claim: Claim) -> Claim:
 
 
 def _mk(claim_id, kind, statement, param_names, points, check, *,
-        base=None, deep=None, range_keys=("n_max",), notes=None, **range_overrides):
-    rng = (base or _BASE).override(**range_overrides) if range_overrides else (base or _BASE)
+        deep=None, range_keys=("n_max",), notes=None, **range_overrides):
+    rng = _BASE.override(**range_overrides) if range_overrides else _BASE
     deep_rng = rng.override(**deep) if deep else None
     return _register(Claim(claim_id, kind, statement, param_names, points, check,
                            rng, deep_rng, range_keys, notes))
@@ -969,7 +977,7 @@ _mk("THM-1.1.i", "integrality",
     deep={"n_max": 2000})
 _mk("THM-1.1.ii", "congruence",
     "sum_{k=0..p-1} (2k+1)*M_k^2 = 12p(p/3) (mod p^2) for primes p > 3",
-    ("p",), _prime_points(3), _check_thm_1_1_ii, range_keys=_PRIME_KEYS)
+    ("p",), _prime_points, _check_thm_1_1_ii, range_keys=_PRIME_KEYS)
 _mk("THM-1.2", "divisibility",
     "n^2(n^2-1)/6 divides sum_{k=0..n-1} k(k+1)(8k+9)*T_k*T_{k+1}",
     ("n",), _n_points(), _check_thm_1_2,
@@ -1032,7 +1040,7 @@ _mk("LEM-2.3", "polynomial-divisibility",
                                  "(e.g. n = 5: sum = 336 is not divisible by 5 at q = 1)"})
 _mk("LEM-2.4", "congruence",
     "sum_{k=1..p-1} C(2k,k)/(k*3^k) = (3^(p-1)-1)/p (mod p) for primes p > 3",
-    ("p",), _prime_points(3), _check_lem_2_4, range_keys=_PRIME_KEYS)
+    ("p",), _prime_points, _check_lem_2_4, range_keys=_PRIME_KEYS)
 _mk("EQ-2.11", "congruence",
     "2*sum (2k+1)M_k^2 = 27*sum C(n+1,k)C(n+k,k)C(2k,k)(k+2)(-3)^(n-1-k) (mod n)",
     ("n",), _n_points(), _check_eq_2_11)
@@ -1116,11 +1124,11 @@ _mk("CONJ-5.1.a", "congruence",
     ("n",), _n_points(), _check_conj_5_1_a, deep={"n_max": 2000})
 _mk("CONJ-5.1.b", "congruence",
     "(1/p)*sum_{k=0..p-1} (8k+9)W_k^2 = 24 + 10(-1/p) - 9(p/3) - 18(3/p) (mod p^2)",
-    ("p",), _prime_points(2), _check_conj_5_1_b,
+    ("p",), _points_conj_5_1_b, _check_conj_5_1_b,
     prime_hi=500, range_keys=_PRIME_KEYS)
 _mk("REM-5.1", "congruence",
     "sum_{k=0..p-1} W_k^2 = 2 (mod p) for primes p > 3",
-    ("p",), _prime_points(3), _check_rem_5_1,
+    ("p",), _prime_points, _check_rem_5_1,
     prime_hi=500, range_keys=_PRIME_KEYS)
 _mk("CONJ-5.2.abc", "integrality",
     "gcd-scaled sums of k(k+1)(2k+1)*w_k^(h)(x)^m (plain and alternating) lie in Z[x]",

@@ -1,11 +1,13 @@
 """Command-line front end: sequence printing, claim verification, suite runs.
 
-Exit codes: 0 all requested claims verified; 1 at least one counterexample
-(witnesses are in the report output); 2 usage errors (unknown sequence,
-claim, suite, malformed flags, an unsupported MOTZKINLAB_CONJ59_PREFACTOR,
-or an --out path that cannot be written); 3 an internal error (an exception
-raised while checking), reported as one "error: internal error: ..." line
-and its traceback on stderr, never as a refutation.
+Exit codes: 0 no counterexample (a claim whose every point was skipped, or
+that has no points in the range, reports "skipped"); 1 at least one
+counterexample (witnesses are in the report output); 2 usage errors (unknown
+sequence, claim, suite, malformed flags or ranges, an unsupported
+MOTZKINLAB_CONJ59_PREFACTOR, or an --out path that cannot be written); 3 an
+internal error (an exception raised while checking), reported as one
+"error: internal error: ..." line and its traceback on stderr, never as a
+refutation.
 """
 from __future__ import annotations
 
@@ -158,32 +160,14 @@ def _exit_code(reports) -> int:
 
 def _cmd_verify(args, out) -> int:
     overrides = _overrides_from(args)
-    reports = []
-    try:
-        for claim_id in args.claims:
-            reports.append(verify_claim(claim_id, overrides or None,
-                                        stop_on_first=args.stop_on_first,
-                                        jobs=args.jobs))
-    except UnknownClaim as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidRange as exc:
-        print(f"error: invalid range: {exc}", file=sys.stderr)
-        return 2
+    reports = [verify_claim(claim_id, overrides or None, stop_on_first=args.stop_on_first,
+                            jobs=args.jobs) for claim_id in args.claims]
     return _emit(reports, args, out)
 
 
 def _cmd_suite(args, out) -> int:
-    overrides = _overrides_from(args)
-    try:
-        reports = run_suite(args.name, overrides or None, deep=args.deep,
-                            stop_on_first=args.stop_on_first, jobs=args.jobs)
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidRange as exc:
-        print(f"error: invalid range: {exc}", file=sys.stderr)
-        return 2
+    reports = run_suite(args.name, _overrides_from(args) or None, deep=args.deep,
+                        stop_on_first=args.stop_on_first, jobs=args.jobs)
     return _emit(reports, args, out)
 
 
@@ -207,6 +191,12 @@ def main(argv=None) -> int:
             return 2
     try:
         return run(args, out)
+    except (UnknownClaim, UnknownSuite) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidRange as exc:
+        print(f"error: invalid range: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # a crash must not read as a counterexample (exit 1)
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)

@@ -46,6 +46,8 @@ class ParamRange:
             raise InvalidRange("prime bounds must be >= 2")
         if self.prime_lo > self.prime_hi:
             raise InvalidRange(f"prime_lo {self.prime_lo} exceeds prime_hi {self.prime_hi}")
+        if self.prime_hi > 10 ** 7:  # the prime sieve allocates prime_hi + 1 bytes
+            raise InvalidRange(f"prime_hi {self.prime_hi} exceeds 10**7")
         if self.h_max < 1 or self.m_max < 1:
             raise InvalidRange("h_max and m_max must be >= 1")
         if self.qexp_a_max < 0 or self.qexp_b_max < 0:

@@ -91,12 +91,7 @@ def _eval_chunk(claim_id: str, rng: ParamRange, lo: int, hi: int) -> list:
             out.append(("skip", point.point, point.reason))
         else:
             kind, *rest = claim.check(point)
-            if kind == "ok":
-                out.append(("ok", point, rest[0]))
-            elif kind == "skip":
-                out.append(("skip", point, rest[0]))
-            else:
-                out.append(("fail", point, rest[0], rest[1]))
+            out.append((kind, point, *rest))
     return out
 
 

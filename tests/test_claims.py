@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 
@@ -17,7 +17,7 @@ from motzkinlab import claims, sequences as seq
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
                                s_quotient, t_quotient)
 from motzkinlab.polynomials import Poly, ZERO, q_binomial, q_integer, s_poly, w_poly
-from motzkinlab.reports import InvalidRange, reports_to_csv, reports_to_json
+from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
 
@@ -204,12 +204,91 @@ class TestPinnedPoints:
         assert report.status == "verified"
 
 
+# The rational right sides of EQ-2.8, EQ-3.4 and EQ-4.11 as the paper writes
+# them, with Fraction sums and factorial quotients; the checkers compare
+# integers scaled by one denominator each, and must agree with these values.
+
+def _f28(k: int, l: int) -> Fraction:
+    return (Fraction(2 * k + 1, (k + 1) * (k + 2))
+            * comb(k + l + 2, 2 * l + 2) * comb(2 * l + 2, l + 1) * comb(2 * l + 2, l)
+            * (-3) ** (k - l))
+
+
+def _eq_2_8_rhs(n: int) -> Fraction:
+    rhs = Fraction(1 + (4 * n + 3) * (-3) ** (n + 1))
+    for j in range(n + 1):
+        rhs += Fraction((-3) ** (n - j) * (4 * n - 2 * j + 1)
+                        * factorial(n + j + 3) * factorial(2 * j + 3),
+                        (n + 2) * factorial(n - j) * (j + 2) * factorial(j + 1) ** 4)
+    return rhs
+
+
+def _eq_3_4_rhs(n: int) -> Fraction:
+    rhs = Fraction(0)
+    for k in range(n):
+        rhs += Fraction(claims._a_coeff(n, k) * (-3) ** (n - k)
+                        * factorial(n + k) * factorial(2 * k),
+                        factorial(n - k - 1) * factorial(k) ** 4 * (k + 1))
+    return Fraction(2, 9) * rhs
+
+
+def _eq_4_11_rhs(b: int, c: int, delta: int, n: int) -> Fraction:
+    d = b * b - 4 * c
+    return Fraction(b, 2) * (n * (n + 1)) ** (delta + 1) * sum(
+        comb(n - 1, j) * comb(n + j + 1, j) * Fraction(comb(2 * j, j), j + delta + 1)
+        * c ** j * d ** (n - 1 - j) for j in range(n))
+
+
+class TestScaledIntegerSides:
+    """Each scaled integer equals its rational value at every point with n <= 15."""
+
+    def test_eq_2_8_rows_and_single_sum(self):
+        lhs = Fraction(0)
+        for n in range(16):
+            row = sum(_f28(n, l) for l in range(n + 1))
+            lhs += row
+            assert claims._e28_row(n) == row
+            assert claims._E28_LHS.at(n) == lhs
+            if n:
+                base = 1 + (4 * n + 3) * (-3) ** (n + 1)
+                assert claims._eq_2_8_sum(n) == (n + 2) * (_eq_2_8_rhs(n) - base)
+
+    def test_eq_3_4_single_sum(self):
+        for n in range(1, 16):
+            assert 2 * claims._eq_3_4_sum(n) == 9 * _eq_3_4_rhs(n)
+
+    def test_eq_4_11_closed_form(self):
+        # the small test grid, d = 0 at (2, 1) included, and both deltas
+        for b in GRID_SMALL["b_set"]:
+            for c in GRID_SMALL["c_set"]:
+                for delta in (0, 1):
+                    for n in range(1, 16):
+                        big_l, total = claims._eq_4_11_sum(b, c, delta, n)
+                        assert all(big_l % k == 0 for k in range(1, n + delta + 1))
+                        assert total == 2 * big_l * _eq_4_11_rhs(b, c, delta, n)
+
+    @pytest.mark.parametrize("acc, check, point, rhs", [
+        ("_E28_LHS", claims._check_eq_2_8, 7, lambda: f"telescoped form = {_eq_2_8_rhs(7)}"),
+        ("_S411", claims._check_eq_4_11, (3, 2, 1, 5),
+         lambda: f"closed form = {_eq_4_11_rhs(3, 2, 1, 5)}"),
+    ], ids=["EQ-2.8", "EQ-4.11"])
+    def test_witness_text_is_the_rational_value(self, monkeypatch, acc, check, point, rhs):
+        monkeypatch.setattr(claims, acc, claims._Acc(0, lambda prev, n, key: 0))
+        kind, _, text = check(point)
+        assert kind == "fail" and text == rhs()
+
+
 class TestConjecture51b:
     def test_small_primes_pass_and_p3_skipped(self):
         report = verify_claim("CONJ-5.1.b", {"prime_hi": 7})
         assert report.status == "verified"
         assert report.params["checked"] == 2  # p = 5, 7
         assert report.params["skipped"] and report.params["skipped"][0][0] == {"p": 3}
+
+    def test_p3_outside_the_range_is_not_skipped(self):
+        report = verify_claim("CONJ-5.1.b", {"prime_lo": 5, "prime_hi": 7})
+        assert report.status == "verified"
+        assert report.params["checked"] == 2 and report.params["skipped"] == []
 
     def test_printed_congruence_fails_from_p_11(self):
         # The mod-p^2 statement has counterexamples; the first is p = 11
@@ -389,6 +468,11 @@ class TestEngine:
             verify_claim("THM-1.1.i", {"n_max": -3})
         with pytest.raises(InvalidRange):
             verify_claim("THM-1.1.i", {"bogus_field": 3})
+
+    def test_prime_hi_is_bounded(self):
+        ParamRange(prime_hi=10 ** 7).validate()
+        with pytest.raises(InvalidRange, match="prime_hi 1000000000000 exceeds 10"):
+            ParamRange(prime_hi=10 ** 12).validate()
 
     def test_skipped_points_recorded(self):
         report = verify_claim("THM-1.3.a", {"n_max": 5, "b_set": (2,), "c_set": (1, 2)})

@@ -100,6 +100,26 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == ["error: invalid range: prime_lo 50 exceeds prime_hi 10"]
 
+    def test_huge_prime_bound_exits_2_without_sieving(self, capsys, monkeypatch):
+        def must_not_sieve(lo, hi):
+            raise AssertionError(f"sieve of {hi + 1} bytes requested")
+
+        monkeypatch.setattr(claims.modular, "primes_in", must_not_sieve)
+        code, out, err = run_cli(capsys, "verify", "THM-1.1.ii", "--prime-max", str(10 ** 12))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: invalid range: prime_hi 1000000000000 exceeds 10**7"]
+
+    def test_zero_points_report_skipped_and_exit_0(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "THM-1.1.i", "--n-max", "0",
+                                 "--format", "json")
+        assert code == 0
+        assert err == ""
+        report = json.loads(out)[0]
+        assert report["status"] == "skipped"
+        assert report["params"]["checked"] == 0 and report["params"]["skipped"] == []
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("a claim ran before --out was found unwritable")
