@@ -147,11 +147,33 @@ def _a_coeff(n: int, k: int) -> int:
             - 4 * n ** 3 + 13 * k * k - 11 * k * n - 26 * n * n + 39 * k + 4 * n + 26)
 
 
+def _hom_eval(weights: Iterable[int], c, d):
+    """sum_j w_j c^j d^(m-j) over the weights w_0..w_m by homogeneous Horner; d may be a Poly."""
+    acc, cj = 0, 1
+    for w in weights:
+        acc = acc * d + w * cj
+        cj *= c
+    return acc
+
+
+def _eq_4_11_row(_prefix, n: int, delta: int) -> tuple[int, tuple[int, ...]]:
+    big_l = lcm(*range(1, n + delta + 1))
+    return big_l, tuple(comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j)
+                        * (big_l // (j + delta + 1)) for j in range(n))
+
+
+# coefficient rows of the (b, c)-sums, keyed by n alone and evaluated at (c, d) by _hom_eval
+_T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-3.1.b, LEM-4.1, EQ-3.4
+    comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n + 1)))
+_M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # REM-2.1, EQ-2.8, LEM-2.1.a
+    comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1) for k in range(1, n + 2)))
+_EQ411_ROW = seq._PrefixCache(_eq_4_11_row, start=1)  # (L, row) keyed by delta: EQ-4.11
+
+
 def _e28_row(k: int) -> int:
-    """sum_l F(k, l); by REM-2.1 at b = c = 1 it is (2k+1)*M_k^2, so the division is exact."""
-    total = sum(comb(k + l + 2, 2 * l + 2) * comb(2 * l + 2, l + 1) * comb(2 * l + 2, l)
-                * (-3) ** (k - l) for l in range(k + 1))
-    q, r = divmod(total, (k + 1) * (k + 2))
+    """sum_l F(k, l) = (2k+1)/((k+1)(k+2)) sum_l C(k+l+2,2l+2)C(2l+2,l+1)C(2l+2,l)(-3)^(k-l).
+    The sum is REM-2.1's row k at (c, d) = (1, -3), (k+1)(k+2)M_k^2, so the division is exact."""
+    q, r = divmod(_hom_eval(_M2_ROW.at(k), 1, -3), (k + 1) * (k + 2))
     if r:
         raise NonIntegral(f"EQ-2.8 row {k}: remainder {r}", r)
     return (2 * k + 1) * q
@@ -186,9 +208,9 @@ class Skip:
 # Point grids
 # ---------------------------------------------------------------------------
 
-def _n_points(lo: int = 1, hi_field: str = "n_max"):
+def _n_points(lo: int = 1):
     def points(rng: ParamRange):
-        return iter(range(lo, getattr(rng, hi_field) + 1))
+        return iter(range(lo, rng.n_max + 1))
     return points
 
 
@@ -217,11 +239,11 @@ def _grid_points(*, d_nonzero: bool = False, b_nonzero: bool = False, n_lo: int 
     return points
 
 
-def _triangle_points(*, j_lo: int = 0, strict: bool = True, deltas=None):
-    """(j, m) pairs with j_lo <= j < m <= n_max (or j <= m when not strict)."""
+def _triangle_points(*, strict: bool = True, deltas=None):
+    """(j, m) pairs with 0 <= j < m <= n_max (or j <= m when not strict)."""
     def points(rng: ParamRange):
-        for m in range(j_lo if not strict else j_lo + 1, rng.n_max + 1):
-            for j in range(j_lo, m if strict else m + 1):
+        for m in range(1 if strict else 0, rng.n_max + 1):
+            for j in range(m if strict else m + 1):
                 if deltas is None:
                     yield (j, m)
                 else:
@@ -373,22 +395,17 @@ def _check_id_2_3(point):
 def _check_lem_2_1_a(point):
     n = point
     lhs = _S_POLY.at(n) * _S_POLY.at(n) * (n * (n + 1))
-    acc = ZERO
-    ypow = ONE
-    for k in range(1, n + 1):
-        acc = acc + ypow * (comb(n + k, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1))
-        ypow = ypow * _Y
-    if lhs != acc:
-        return _fail(lhs.render(), acc.render())
+    # REM-2.1's row n-1 at (c, d) = (x(x+1), 1), read from the top at (1, x(x+1))
+    rhs = _hom_eval(reversed(_M2_ROW.at(n - 1)), 1, _Y)
+    if lhs != rhs:
+        return _fail(lhs.render(), rhs.render())
     return _ok()
 
 
 def _check_rem_2_1(point):
     b, c, n = point
-    d = b * b - 4 * c
     lhs = (n + 1) * (n + 2) * seq.gen_motzkin(n, b, c) ** 2
-    rhs = sum(comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1)
-              * c ** (k - 1) * d ** (n + 1 - k) for k in range(1, n + 2))
+    rhs = _hom_eval(_M2_ROW.at(n), c, b * b - 4 * c)
     if lhs != rhs:
         return _fail(f"(n+1)(n+2)*M_n^2 = {lhs}", f"sum = {rhs}")
     return _ok()
@@ -457,14 +474,23 @@ def _check_lem_2_3(point):
     return _ok()
 
 
+def _lem_2_4_residue(p: int) -> int:
+    """sum_{k=1..p-1} C(2k,k)/(k*3^k) mod p (p > 3 prime), from running residues;
+    C(2k,k) is 0 mod p from k = (p+1)/2 on, once the factor 2k-1 = p enters."""
+    inv = [0, 1]  # inv[k] = 1/k mod p
+    for k in range(2, p):
+        inv.append(-(p // k) * inv[p % k] % p)
+    acc, cb, pw = 0, 1, 1
+    for k in range(1, p):
+        cb = cb * 2 * (2 * k - 1) * inv[k] % p
+        pw = pw * inv[3] % p
+        acc += cb * inv[k] * pw
+    return acc % p
+
+
 def _check_lem_2_4(point):
     p = point
-    pw3 = 1
-    acc = 0
-    for k in range(1, p):
-        pw3 = pw3 * 3 % p
-        acc = (acc + comb(2 * k, k) * pow(k * pw3, -1, p)) % p
-    rhs = modular.fermat_quotient(3, p)
+    acc, rhs = _lem_2_4_residue(p), modular.fermat_quotient(3, p)
     if acc != rhs:
         return _fail(f"sum C(2k,k)/(k*3^k) = {acc} (mod p)", f"(3^(p-1)-1)/p = {rhs} (mod p)")
     return _ok()
@@ -495,10 +521,8 @@ def _check_lem_3_1_a(point):
 
 def _check_lem_3_1_b(point):
     b, c, k = point
-    d = b * b - 4 * c
     lhs = seq.gen_trinomial(k, b, c) ** 2
-    rhs = sum(comb(k + j, 2 * j) * comb(2 * j, j) ** 2 * c ** j * d ** (k - j)
-              for j in range(k + 1))
+    rhs = _hom_eval(_T2_ROW.at(k), c, b * b - 4 * c)
     if lhs != rhs:
         return _fail(f"T_k^2 = {lhs}", f"sum = {rhs}")
     return _ok()
@@ -546,13 +570,9 @@ def _eq_3_4_sum(n: int) -> int:
 def _check_eq_3_4(point):
     n = point
     c1 = 16 * n * n - 30 * n + 21
-    lhs = 0
-    for k in range(n + 1):
-        outer = 3 ** (n - k) * c1 - (16 * k * k - 30 * k + 21)
-        row = 0
-        for l in range(k + 1):
-            row += comb(k + l, 2 * l) * comb(2 * l, l) ** 2 * (-3) ** (k - l)
-        lhs += (2 * k + 1) * outer * row
+    # the inner row sum_l C(k+l,2l)C(2l,l)^2(-3)^(k-l) is LEM-3.1.b's row k at (c, d) = (1, -3)
+    lhs = sum((2 * k + 1) * (3 ** (n - k) * c1 - (16 * k * k - 30 * k + 21))
+              * _hom_eval(row, 1, -3) for k, row in enumerate(_T2_ROW.prefix(n)))
     total = _eq_3_4_sum(n)
     if 9 * lhs != 2 * total:
         return _fail(f"double sum = {lhs}", f"telescoped form = {Fraction(2 * total, 9)}")
@@ -576,10 +596,8 @@ def _check_lem_3_4(point):
 
 def _check_lem_4_1(point):
     b, c, n = point
-    d = b * b - 4 * c
     lhs = n * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c)
-    rhs = b * sum((n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2
-                  * c ** j * d ** (n - 1 - j) for j in range(n))
+    rhs = b * _hom_eval([(n - j) * w for j, w in enumerate(_T2_ROW.at(n)[:n])], c, b * b - 4 * c)
     if lhs != rhs:
         return _fail(f"n*T_n*T_(n-1) = {lhs}", f"b*sum = {rhs}")
     return _ok()
@@ -670,11 +688,8 @@ def _check_eq_4_10(point):
 
 def _eq_4_11_sum(b: int, c: int, delta: int, n: int) -> tuple[int, int]:
     """(L, 2L times EQ-4.11's closed form); each denominator j+delta+1 divides L = lcm(1..n+delta)."""
-    d = b * b - 4 * c
-    big_l = lcm(*range(1, n + delta + 1))
-    return big_l, b * (n * (n + 1)) ** (delta + 1) * sum(
-        comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j) * (big_l // (j + delta + 1))
-        * c ** j * d ** (n - 1 - j) for j in range(n))
+    big_l, row = _EQ411_ROW.at(n, delta)
+    return big_l, b * (n * (n + 1)) ** (delta + 1) * _hom_eval(row, c, b * b - 4 * c)
 
 
 def _check_eq_4_11(point):

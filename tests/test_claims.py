@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 
 import pytest
 
 import motzkinlab
-from motzkinlab import claims, sequences as seq
+from motzkinlab import claims, modular, sequences as seq
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
                                s_quotient, t_quotient)
 from motzkinlab.polynomials import Poly, ZERO, q_binomial, q_integer, s_poly, w_poly
@@ -278,6 +278,121 @@ class TestScaledIntegerSides:
         assert kind == "fail" and text == rhs()
 
 
+# The (b, c)-sums and LEM-2.4's residue written out term by term with
+# math.comb, as the claims state them.  The checkers evaluate cached
+# coefficient rows (and LEM-2.4 running residues mod p) instead, and must
+# report the same values.
+
+def _lem_3_1_b_rhs(b: int, c: int, k: int) -> int:
+    d = b * b - 4 * c
+    return sum(comb(k + j, 2 * j) * comb(2 * j, j) ** 2 * c ** j * d ** (k - j)
+               for j in range(k + 1))
+
+
+def _lem_4_1_rhs(b: int, c: int, n: int) -> int:
+    d = b * b - 4 * c
+    return b * sum((n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2
+                   * c ** j * d ** (n - 1 - j) for j in range(n))
+
+
+def _rem_2_1_rhs(b: int, c: int, n: int) -> int:
+    d = b * b - 4 * c
+    return sum(comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1)
+               * c ** (k - 1) * d ** (n + 1 - k) for k in range(1, n + 2))
+
+
+def _eq_4_11_comb_sum(b: int, c: int, delta: int, n: int) -> tuple[int, int]:
+    d = b * b - 4 * c
+    big_l = lcm(*range(1, n + delta + 1))
+    return big_l, b * (n * (n + 1)) ** (delta + 1) * sum(
+        comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j) * (big_l // (j + delta + 1))
+        * c ** j * d ** (n - 1 - j) for j in range(n))
+
+
+def _eq_3_4_lhs(n: int) -> int:
+    c1 = 16 * n * n - 30 * n + 21
+    lhs = 0
+    for k in range(n + 1):
+        outer = 3 ** (n - k) * c1 - (16 * k * k - 30 * k + 21)
+        row = 0
+        for l in range(k + 1):
+            row += comb(k + l, 2 * l) * comb(2 * l, l) ** 2 * (-3) ** (k - l)
+        lhs += (2 * k + 1) * outer * row
+    return lhs
+
+
+def _lem_2_1_a_rhs(n: int) -> Poly:
+    acc = ZERO
+    ypow = Poly((1,))
+    for k in range(1, n + 1):
+        acc = acc + ypow * (comb(n + k, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1))
+        ypow = ypow * Poly((0, 1, 1))
+    return acc
+
+
+def _lem_2_4_comb_residue(p: int) -> int:
+    return sum(comb(2 * k, k) * pow(k * 3 ** k, -1, p) for k in range(1, p)) % p
+
+
+_HUGE = 10 ** 60  # far from any value on the small grid
+
+
+def _fail_texts(monkeypatch, target, name, check, point) -> tuple[str, str]:
+    """The two sides a checker reports once ``target.name`` returns _HUGE,
+    which makes one side wrong and leaves the other as computed."""
+    monkeypatch.setattr(target, name, lambda *args: _HUGE)
+    kind, lhs, rhs = check(point)
+    assert kind == "fail", point
+    return lhs, rhs
+
+
+def _grid_small_points(n_lo: int):
+    for b in GRID_SMALL["b_set"]:
+        for c in GRID_SMALL["c_set"]:
+            for n in range(n_lo, 16):
+                yield b, c, n
+
+
+class TestCachedRows:
+    """Each right side read from a cached row equals its term-by-term sum at
+    every point of the small grid (d = 0 at (2, 1) and c = 0 included)."""
+
+    @pytest.mark.parametrize("claim_id, table, n_lo, prefix, rhs", [
+        ("LEM-3.1.b", "gen_trinomial", 0, "sum = ", _lem_3_1_b_rhs),
+        ("LEM-4.1", "gen_trinomial", 1, "b*sum = ", _lem_4_1_rhs),
+        ("REM-2.1", "gen_motzkin", 0, "sum = ", _rem_2_1_rhs),
+    ])
+    def test_reported_right_side(self, monkeypatch, claim_id, table, n_lo, prefix, rhs):
+        check = CLAIMS[claim_id].check
+        for point in _grid_small_points(n_lo):
+            _, text = _fail_texts(monkeypatch, seq, table, check, point)
+            assert text == prefix + str(rhs(*point)), point
+
+    def test_eq_4_11_sum(self):
+        for b, c, n in _grid_small_points(1):
+            for delta in (0, 1):
+                assert claims._eq_4_11_sum(b, c, delta, n) == _eq_4_11_comb_sum(b, c, delta, n)
+
+    def test_eq_3_4_rows(self, monkeypatch):
+        # the left side is the double sum whose inner rows come from the cache
+        for n in range(1, 16):
+            text, _ = _fail_texts(monkeypatch, claims, "_eq_3_4_sum", claims._check_eq_3_4, n)
+            assert text == f"double sum = {_eq_3_4_lhs(n)}", n
+
+    def test_lem_2_1_a_polynomial(self, monkeypatch):
+        monkeypatch.setattr(claims, "_S_POLY", seq._PrefixCache(
+            lambda _prefix, n, _key: Poly((_HUGE,)), start=1))
+        for n in range(1, 16):
+            kind, _, rhs = claims._check_lem_2_1_a(n)
+            assert kind == "fail" and rhs == _lem_2_1_a_rhs(n).render(), n
+
+    def test_lem_2_4_residue(self):
+        primes = modular.primes_in(5, 997)
+        assert len(primes) == 166
+        for p in primes:
+            assert claims._lem_2_4_residue(p) == _lem_2_4_comb_residue(p), p
+
+
 class TestConjecture51b:
     def test_small_primes_pass_and_p3_skipped(self):
         report = verify_claim("CONJ-5.1.b", {"prime_hi": 7})
@@ -369,6 +484,44 @@ def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, depende
     finally:
         seq._reset_caches()
     assert statuses() == dict.fromkeys(dependents, "verified")
+
+
+def _bump3(row: tuple) -> tuple:
+    return row[:3] + (row[3] + 1,) + row[4:]
+
+
+_REFUTED = "counterexample"
+
+
+@pytest.mark.parametrize("row, key, bump, perturbed", [
+    (claims._T2_ROW, (), _bump3,
+     {"LEM-3.1.b": _REFUTED, "LEM-4.1": _REFUTED, "EQ-3.4": _REFUTED}),
+    # EQ-2.8 divides each row exactly, so a wrong row raises instead
+    (claims._M2_ROW, (), _bump3,
+     {"REM-2.1": _REFUTED, "LEM-2.1.a": _REFUTED, "EQ-2.8": "NonIntegral"}),
+    (claims._EQ411_ROW, 0, lambda e: (e[0], _bump3(e[1])), {"EQ-4.11": _REFUTED}),
+    (claims._EQ411_ROW, 1, lambda e: (e[0], _bump3(e[1])), {"EQ-4.11": _REFUTED}),
+], ids=["T^2", "M^2", "EQ-4.11-delta0", "EQ-4.11-delta1"])
+def test_perturbed_row_coefficient_is_caught_and_reset_clears_it(row, key, bump, perturbed):
+    """Coefficient 3 of cached row 7, plus 1, must be caught by every claim
+    that reads the row; after the one reset the same claims verify again."""
+    def statuses():
+        out = {}
+        for cid in perturbed:
+            try:
+                out[cid] = verify_claim(cid, _SMALL_AT_3_2).status
+            except NonIntegral:
+                out[cid] = "NonIntegral"
+        return out
+
+    seq._reset_caches()
+    try:
+        row.prefix(40, key)
+        row._data[key][7 - row._start] = bump(row.at(7, key))
+        assert statuses() == perturbed
+    finally:
+        seq._reset_caches()
+    assert statuses() == dict.fromkeys(perturbed, "verified")
 
 
 class TestSqrtDClaim:
