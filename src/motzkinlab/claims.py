@@ -19,8 +19,10 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
-from .polynomials import (Poly, ZERO, ONE, _fold, _mul_cyclic, big_schroder_poly,
-                          q_binomial, q_integer, s_poly, w_poly)
+# q_binomial is called by no checker (LEM-2.3 folds its own q-Pascal rows), but
+# perfbench/tracer.py wraps claims.q_binomial by name, so the binding stays.
+from .polynomials import (Poly, ZERO, ONE, _fold, _folded_q_binomial_rows, _mul_cyclic,
+                          big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 from .reports import ParamRange
 
 
@@ -439,25 +441,51 @@ def _check_eq_2_8(point):
     return _ok()
 
 
+def _q29_factors(_prefix, n: int, shift: int) -> tuple[list, list, list]:
+    """The point-independent factors of LEM-2.3's sum at n, folded mod q^n - 1:
+    for k = 0..n-1, [k+w]_q [2k k], [n+1 k] and [n+k k], with w = shift.
+
+    Rows m <= max(2n-1, n+1) of the folded q-Pascal triangle hold them all."""
+    base, upper, lower = [], [], []
+    for m, row in enumerate(_folded_q_binomial_rows(n, max(2 * n - 1, n + 1))):
+        if m % 2 == 0 and m // 2 < n:
+            k = m // 2
+            base.append(tuple(_mul_cyclic(_fold(q_integer(k + shift).coeffs, n), row[k], n)))
+        if n <= m < 2 * n:
+            lower.append(row[m - n])
+        if m == n + 1:
+            upper = row
+    return base, upper, lower
+
+
+def _q29_chain(prefix, bexp: int, key: tuple[int, int]) -> list:
+    """[k+w]_q [2k k] [n+k k]^b for k = 0..n-1 at b = bexp, from b - 1."""
+    n, shift = key
+    base, _, lower = _Q29_FACTORS.at(n, shift)
+    if not bexp:
+        return base
+    return [tuple(_mul_cyclic(t, f, n)) for t, f in zip(prefix[-1], lower)]
+
+
+# per n, keyed by the weight shift w; then per (n, w), indexed by b.  A fill
+# holds its cache's lock, so a _Q29_CHAIN step reads _Q29_FACTORS and never
+# the other way round.
+_Q29_FACTORS = seq._PrefixCache(_q29_factors, start=1)
+_Q29_CHAIN = seq._PrefixCache(_q29_chain)
+
+
 def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
     """sum_{k=0..n-1} [n+1 k]^a [n+k k]^b [2k k] [k+w]_q (-[3]_q)^(n-1-k),
-    folded mod q^n - 1: the n coefficients of its residue."""
+    folded mod q^n - 1: the n coefficients of its residue.  The powers of
+    -[3]_q come from Horner's rule, acc = acc*(-[3]_q) + term_k."""
     neg_q3 = -q_integer(3)
-    pw = [ONE]
-    for _ in range(n - 1):
-        pw.append(pw[-1] * neg_q3)
-    total = [0] * n
-    for k in range(n):
-        term = _mul_cyclic(_fold(q_integer(k + weight_shift).coeffs, n),
-                           _fold(pw[n - 1 - k].coeffs, n), n)
-        term = _mul_cyclic(term, _fold(q_binomial(2 * k, k).coeffs, n), n)
-        for top, exp in ((n + k, bexp), (n + 1, a)):
-            if exp:
-                folded = _fold(q_binomial(top, k).coeffs, n)
-                for _ in range(exp):
-                    term = _mul_cyclic(term, folded, n)
-        total = [t + c for t, c in zip(total, term)]
-    return total
+    upper = _Q29_FACTORS.at(n, weight_shift)[1]
+    acc = [0] * n
+    for term, top in zip(_Q29_CHAIN.at(bexp, (n, weight_shift)), upper):
+        for _ in range(a):
+            term = _mul_cyclic(term, top, n)
+        acc = [x + t for x, t in zip(_fold((Poly(acc) * neg_q3).coeffs, n), term)]
+    return acc
 
 
 def _mod_q_integer(residue: list[int]) -> Poly:
@@ -475,17 +503,18 @@ def _check_lem_2_3(point):
 
 
 def _lem_2_4_residue(p: int) -> int:
-    """sum_{k=1..p-1} C(2k,k)/(k*3^k) mod p (p > 3 prime), from running residues;
-    C(2k,k) is 0 mod p from k = (p+1)/2 on, once the factor 2k-1 = p enters."""
-    inv = [0, 1]  # inv[k] = 1/k mod p
-    for k in range(2, p):
-        inv.append(-(p // k) * inv[p % k] % p)
-    acc, cb, pw = 0, 1, 1
-    for k in range(1, p):
-        cb = cb * 2 * (2 * k - 1) * inv[k] % p
-        pw = pw * inv[3] % p
-        acc += cb * inv[k] * pw
-    return acc % p
+    """sum_{k=1..p-1} C(2k,k)/(k*3^k) mod p (p > 3 prime) as one running
+    fraction num/den mod p, inverted once at the end.  g = C(2k,k)/3^k steps by
+    2(2k-1)/(3k); C(2k,k) is 0 mod p from k = (p+1)/2 on, once the factor
+    2k-1 = p enters, so the sum stops there."""
+    num, den, g_num, g_den = 0, 1, 1, 1
+    for k in range(1, (p + 1) // 2):
+        g_num = g_num * 2 * (2 * k - 1) % p
+        g_den = g_den * 3 * k % p
+        t_den = g_den * k % p
+        num = (num * t_den + g_num * den) % p
+        den = den * t_den % p
+    return num * pow(den, -1, p) % p
 
 
 def _check_lem_2_4(point):

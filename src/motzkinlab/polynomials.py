@@ -10,6 +10,7 @@ division in Z[x]: a leading coefficient that does not divide raises
 from __future__ import annotations
 
 import math
+import operator
 
 from . import sequences
 
@@ -47,6 +48,27 @@ def _fold(coeffs, n: int) -> list:
 def _mul_cyclic(a, b, n: int) -> list:
     """Product of two residues mod q^n - 1, as a length-n residue."""
     return _fold(_mul_coeffs(a, b), n)
+
+
+def _folded_q_binomial_rows(n: int, m_max: int):
+    """Rows m = 0..m_max of the q-Pascal triangle mod q^n - 1: row m holds the
+    length-n residues of [m k]_q for k = 0..min(m, n-1), as tuples.
+
+    Built by [m k] = [m-1 k-1] + q^k [m-1 k]; on a length-n residue, q^k is
+    a rotation by k, so no full-degree row is ever formed."""
+    one = (1,) + (0,) * (n - 1)
+    row = [one]
+    yield row
+    for m in range(1, m_max + 1):
+        nxt = [one]
+        for k in range(1, min(m, n - 1) + 1):
+            if k < m:
+                r = row[k]
+                nxt.append(tuple(map(operator.add, row[k - 1], r[-k:] + r[:-k])))
+            else:
+                nxt.append(one)  # [m m] = 1
+        row = nxt
+        yield row
 
 
 class Poly:

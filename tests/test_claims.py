@@ -7,6 +7,9 @@ under parallelism.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm
 
@@ -16,7 +19,8 @@ import motzkinlab
 from motzkinlab import claims, modular, sequences as seq
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
                                s_quotient, t_quotient)
-from motzkinlab.polynomials import Poly, ZERO, q_binomial, q_integer, s_poly, w_poly
+from motzkinlab.polynomials import (Poly, ZERO, _folded_q_binomial_rows, q_binomial, q_integer,
+                                    s_poly, w_poly)
 from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
@@ -198,6 +202,18 @@ class TestPinnedPoints:
                         assert folded.render("q") == expected.render("q")
                         nonzero += not expected.is_zero
         assert nonzero == 114
+
+    def test_folded_q_pascal_rows_match_q_binomial(self):
+        # every entry k <= min(m, n-1) of rows m <= 2n+1, against the full-degree
+        # [m k]_q folded here; n = 1 folds everything onto one entry
+        for n in range(1, 13):
+            rows = list(_folded_q_binomial_rows(n, 2 * n + 1))
+            assert len(rows) == 2 * n + 2
+            for m, row in enumerate(rows):
+                assert len(row) == min(m, n - 1) + 1, (n, m)
+                for k, residue in enumerate(row):
+                    c = q_binomial(m, k).coeffs
+                    assert list(residue) == [sum(c[i::n]) for i in range(n)], (n, m, k)
 
     def test_lem_2_1_a_at_n_1(self):
         report = verify_claim("LEM-2.1.a", {"n_max": 1})
@@ -392,6 +408,16 @@ class TestCachedRows:
         for p in primes:
             assert claims._lem_2_4_residue(p) == _lem_2_4_comb_residue(p), p
 
+    def test_lem_2_4_residue_runs_in_constant_memory(self):
+        # one running fraction, no table of p inverses
+        tracemalloc.start()
+        try:
+            claims._lem_2_4_residue(100003)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestConjecture51b:
     def test_small_primes_pass_and_p3_skipped(self):
@@ -522,6 +548,77 @@ def test_perturbed_row_coefficient_is_caught_and_reset_clears_it(row, key, bump,
     finally:
         seq._reset_caches()
     assert statuses() == dict.fromkeys(perturbed, "verified")
+
+
+def _bump_k1(residues) -> list:
+    """The per-k residues with coefficient 3 of the k = 1 residue plus 1."""
+    out = list(residues)
+    out[1] = _bump3(out[1])
+    return out
+
+
+@pytest.mark.parametrize("cache, key, i, part", [
+    (claims._Q29_FACTORS, 2, 7, 0),
+    (claims._Q29_FACTORS, 2, 7, 1),
+    (claims._Q29_FACTORS, 2, 7, 2),
+    (claims._Q29_CHAIN, (7, 2), 1, None),
+], ids=["[k+w][2k k]", "[n+1 k]", "[n+k k]", "b-chain"])
+def test_perturbed_q_factor_is_caught_and_reset_clears_it(cache, key, i, part):
+    """Coefficient 3 of the k = 1 residue of one cached LEM-2.3 list at n = 7,
+    plus 1, must refute the claim; after the one reset it verifies again."""
+    small = {"n_max": 8, "qexp_a_max": 2, "qexp_b_max": 2}
+    seq._reset_caches()
+    try:
+        entry = cache.at(i, key)
+        if part is None:
+            entry = _bump_k1(entry)
+        else:
+            entry = tuple(_bump_k1(f) if j == part else f for j, f in enumerate(entry))
+        cache._data[key][i - cache._start] = entry
+        assert verify_claim("LEM-2.3", small).status == "counterexample"
+    finally:
+        seq._reset_caches()
+    assert verify_claim("LEM-2.3", small).status == "verified"
+
+
+def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
+    # a _Q29_CHAIN fill takes _Q29_FACTORS's lock inside its own; threads
+    # that start from either cache, in opposite n orders, must all finish
+    # with the serial residues
+    points = [(n, a, bexp, shift) for n in range(1, 11) for a in (1, 2)
+              for bexp in (0, 1, 2) for shift in (2, 3)]
+    seq._reset_caches()
+    expected = [_q_sum_2_9(*pt) for pt in points]
+    n_threads, got, errors = 6, [], []
+
+    def work(start: threading.Barrier, order: int) -> None:
+        try:
+            start.wait()
+            if order % 3 == 2:
+                for n in range(10, 0, -1):
+                    claims._Q29_FACTORS.at(n, 3)
+            pts = points if order % 2 else points[::-1]
+            out = {pt: _q_sum_2_9(*pt) for pt in pts}
+            got.append([out[pt] for pt in points])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            seq._reset_caches()
+            start = threading.Barrier(n_threads, timeout=60)
+            threads = [threading.Thread(target=work, args=(start, i)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert got == [expected] * (3 * n_threads)
 
 
 class TestSqrtDClaim:
