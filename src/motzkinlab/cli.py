@@ -3,20 +3,21 @@
 Exit codes: 0 no counterexample (a claim whose every point was skipped, or
 that has no points in the range, reports "skipped"); 1 at least one
 counterexample (witnesses are in the report output); 2 usage errors (unknown
-sequence, claim, suite, malformed flags or ranges, an unsupported
-MOTZKINLAB_CONJ59_PREFACTOR, or an --out path that cannot be written); 3 an
+sequence, claim, suite, malformed flags or ranges, --jobs below 1, or an
+--out path that cannot be written); 3 an
 internal error (an exception raised while checking), reported as one
 "error: internal error: ..." line and its traceback on stderr, never as a
-refutation.
+refutation.  --jobs above the number of usable CPUs is lowered to it;
+reports do not depend on --jobs.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
 from . import sequences as seq
-from .claims import InvalidSetting, conj_5_9_prefactor
 from .reports import (InvalidRange, format_report_human, reports_to_csv,
                       reports_to_json)
 from .verify import SUITES, UnknownClaim, UnknownSuite, run_suite, verify_claim
@@ -176,11 +177,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "seq":
         return _cmd_seq(args)
-    try:  # settings the claims read are checked before any work starts
-        conj_5_9_prefactor()
-    except InvalidSetting as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
+    # a process pool starts all its workers at its first task
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    args.jobs = min(args.jobs, usable)
     run = _cmd_verify if args.command == "verify" else _cmd_suite
     out = None
     if args.out is not None:

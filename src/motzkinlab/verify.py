@@ -3,8 +3,9 @@ with deterministic report assembly, plus the named claim suites.
 
 Parallel execution dispatches contiguous chunks of the ordered point list to
 a process pool and reassembles results in input order, so a report's content
-is identical for any worker count.  ``stop_on_first`` truncates the ordered
-result stream at the first counterexample.
+is identical for any worker count.  ``stop_on_first`` stops the evaluation
+at the first counterexample: each chunk ends at its first one, and chunks
+not yet started when the ordered stream reaches it are cancelled.
 """
 from __future__ import annotations
 
@@ -24,28 +25,11 @@ class UnknownSuite(LookupError):
     pass
 
 
+# each suite lists its claims in registration order; "all" is the four in turn
 SUITES: dict[str, tuple[str, ...]] = {
-    "theorems": (
-        "THM-1.1.i", "THM-1.1.ii", "THM-1.2",
-        "THM-1.3.a", "THM-1.3.b", "THM-1.3.c", "THM-1.3.d",
-        "COR-1.1.ab", "COR-1.1.c", "COR-1.1.d",
-    ),
-    "lemmas": (
-        "LEM-2.1.a", "LEM-2.1.b", "LEM-2.2", "LEM-2.3", "LEM-2.4",
-        "LEM-3.1.a", "LEM-3.1.b", "LEM-3.2", "LEM-3.3", "LEM-3.4",
-        "LEM-4.1", "LEM-4.2", "LEM-4.3", "LEM-4.4.a", "LEM-4.4.b",
-        "LEM-4.5", "LEM-4.6",
-    ),
-    "identities": (
-        "ID-1.8", "ID-2.3", "REM-2.1", "EQ-2.8", "EQ-2.11",
-        "EQ-3.partial", "EQ-3.4", "EQ-4.2", "EQ-4.10", "EQ-4.11",
-        "EQ-4.12", "EQ-4.13", "REC-w", "REC-W",
-    ),
-    "conjectures": (
-        "CONJ-5.1.a", "CONJ-5.1.b", "REM-5.1", "CONJ-5.2.abc", "CONJ-5.3.ab",
-    ),
-}
-SUITES["all"] = SUITES["theorems"] + SUITES["lemmas"] + SUITES["identities"] + SUITES["conjectures"]
+    suite: tuple(claim.id for claim in CLAIMS.values() if claim.suite == suite)
+    for suite in ("theorems", "lemmas", "identities", "conjectures")}
+SUITES["all"] = tuple(itertools.chain.from_iterable(SUITES.values()))
 
 _TABLE_CAP = 20
 
@@ -82,8 +66,10 @@ def _range_echo(rng: ParamRange, keys: tuple[str, ...]) -> dict:
     return out
 
 
-def _eval_chunk(claim_id: str, rng: ParamRange, lo: int, hi: int) -> list:
-    """Evaluate points [lo, hi) of a claim's ordered point list (worker entry)."""
+def _eval_chunk(claim_id: str, rng: ParamRange, lo: int, hi: int,
+                stop_on_first: bool = False) -> list:
+    """Evaluate points [lo, hi) of a claim's ordered point list (worker entry),
+    ending after the first counterexample when ``stop_on_first`` is set."""
     claim = CLAIMS[claim_id]
     out = []
     for point in itertools.islice(claim.points(rng), lo, hi):
@@ -92,6 +78,8 @@ def _eval_chunk(claim_id: str, rng: ParamRange, lo: int, hi: int) -> list:
         else:
             kind, *rest = claim.check(point)
             out.append((kind, point, *rest))
+            if stop_on_first and kind == "fail":
+                break
     return out
 
 
@@ -105,9 +93,9 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
 
     points = list(claim.points(rng))
     if jobs > 1 and len(points) > 8:
-        results = _run_parallel(claim.id, rng, len(points), jobs, executor)
+        results = _run_parallel(claim.id, rng, len(points), jobs, executor, stop_on_first)
     else:
-        results = iter(_eval_chunk(claim.id, rng, 0, len(points)))
+        results = (res for res in _eval_chunk(claim.id, rng, 0, len(points), stop_on_first))
 
     checked = 0
     counterexamples = []
@@ -126,6 +114,7 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
                                     "lhs": res[2], "rhs": res[3]})
             if stop_on_first:
                 break
+    results.close()  # both are generators; closing _run_parallel's cancels unstarted chunks
 
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if counterexamples:
@@ -140,23 +129,27 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
         "skipped": skipped,
     }
     if claim.notes is not None:
-        params["notes"] = claim.notes(rng)
+        params["notes"] = dict(claim.notes)
     return VerificationReport(claim=claim.id, params=params, status=status,
                               counterexamples=counterexamples, table=table,
                               elapsed_ms=elapsed_ms)
 
 
 def _run_parallel(claim_id: str, rng: ParamRange, n_points: int, jobs: int,
-                  executor: ProcessPoolExecutor | None):
+                  executor: ProcessPoolExecutor | None, stop_on_first: bool):
     chunk = max(1, -(-n_points // (jobs * 4)))
     bounds = [(lo, min(lo + chunk, n_points)) for lo in range(0, n_points, chunk)]
     own = executor is None
     pool = executor or ProcessPoolExecutor(max_workers=jobs)
+    futures = []
     try:
-        futures = [pool.submit(_eval_chunk, claim_id, rng, lo, hi) for lo, hi in bounds]
+        futures = [pool.submit(_eval_chunk, claim_id, rng, lo, hi, stop_on_first)
+                   for lo, hi in bounds]
         for fut in futures:
             yield from fut.result()
     finally:
+        for fut in futures:  # a no-op for chunks done; the rest are not needed
+            fut.cancel()
         if own:
             pool.shutdown()
 

@@ -6,12 +6,13 @@ under parallelism.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 
 import pytest
 
@@ -56,28 +57,47 @@ class TestGoldenQuotients:
 
 
 class TestRegistry:
-    EXPECTED_IDS = {
-        "THM-1.1.i", "THM-1.1.ii", "THM-1.2", "THM-1.3.a", "THM-1.3.b",
-        "THM-1.3.c", "THM-1.3.d", "ID-1.8", "COR-1.1.ab", "COR-1.1.c",
-        "COR-1.1.d", "ID-2.3", "LEM-2.1.a", "LEM-2.1.b", "REM-2.1", "LEM-2.2",
-        "EQ-2.8", "LEM-2.3", "LEM-2.4", "EQ-2.11", "LEM-3.1.a", "LEM-3.1.b",
-        "LEM-3.2", "EQ-3.partial", "EQ-3.4", "LEM-3.3", "LEM-3.4", "LEM-4.1",
-        "EQ-4.2", "LEM-4.2", "LEM-4.3", "LEM-4.4.a", "LEM-4.4.b", "LEM-4.5",
-        "LEM-4.6", "REC-w", "EQ-4.10", "EQ-4.11", "EQ-4.12", "EQ-4.13",
-        "REC-W", "CONJ-5.1.a", "CONJ-5.1.b", "REM-5.1", "CONJ-5.2.abc",
-        "CONJ-5.3.ab", "MUT-THM-1.1.i", "MUT-THM-1.2", "MUT-ID-1.8",
-        "MUT-LEM-2.3",
+    # the suites in their reported order, written out independently of the
+    # registry they are built from
+    EXPECTED_SUITES = {
+        "theorems": (
+            "THM-1.1.i", "THM-1.1.ii", "THM-1.2",
+            "THM-1.3.a", "THM-1.3.b", "THM-1.3.c", "THM-1.3.d",
+            "COR-1.1.ab", "COR-1.1.c", "COR-1.1.d",
+        ),
+        "lemmas": (
+            "LEM-2.1.a", "LEM-2.1.b", "LEM-2.2", "LEM-2.3", "LEM-2.4",
+            "LEM-3.1.a", "LEM-3.1.b", "LEM-3.2", "LEM-3.3", "LEM-3.4",
+            "LEM-4.1", "LEM-4.2", "LEM-4.3", "LEM-4.4.a", "LEM-4.4.b",
+            "LEM-4.5", "LEM-4.6",
+        ),
+        "identities": (
+            "ID-1.8", "ID-2.3", "REM-2.1", "EQ-2.8", "EQ-2.11",
+            "EQ-3.partial", "EQ-3.4", "EQ-4.2", "EQ-4.10", "EQ-4.11",
+            "EQ-4.12", "EQ-4.13", "REC-w", "REC-W",
+        ),
+        "conjectures": (
+            "CONJ-5.1.a", "CONJ-5.1.b", "REM-5.1", "CONJ-5.2.abc", "CONJ-5.3.ab",
+        ),
     }
+    MUTATIONS = ("MUT-THM-1.1.i", "MUT-THM-1.2", "MUT-ID-1.8", "MUT-LEM-2.3")
+    EXPECTED_IDS = {*MUTATIONS, *(cid for ids in EXPECTED_SUITES.values() for cid in ids)}
 
     def test_registry_is_exhaustive(self):
         assert set(CLAIMS) == self.EXPECTED_IDS
 
     def test_every_claim_has_kind_and_statement(self):
-        kinds = {"identity", "divisibility", "congruence", "integrality",
-                 "polynomial-identity", "polynomial-divisibility"}
+        # a claim's kind is its suite; only the mutation fixtures have none
         for claim in CLAIMS.values():
-            assert claim.kind in kinds
+            assert (claim.suite is None) == claim.id.startswith("MUT-"), claim.id
             assert claim.statement
+
+    def test_suites_are_the_registered_ones_in_order(self):
+        for suite, ids in self.EXPECTED_SUITES.items():
+            assert SUITES[suite] == ids, suite
+            assert all(CLAIMS[cid].suite == suite for cid in ids)
+        assert list(SUITES) == [*self.EXPECTED_SUITES, "all"]
+        assert SUITES["all"] == sum(self.EXPECTED_SUITES.values(), ())
 
     def test_suites_cover_all_non_mutation_claims(self):
         in_suites = set(SUITES["all"])
@@ -451,20 +471,20 @@ class TestConjecture51b:
 
 
 class TestConjecture53Interpretations:
-    def test_default_interpretation_recorded_and_verified(self, monkeypatch):
-        monkeypatch.delenv("MOTZKINLAB_CONJ59_PREFACTOR", raising=False)
+    def test_default_interpretation_recorded_and_verified(self):
         report = verify_claim("CONJ-5.3.ab", {"n_max": 8, "h_max": 2, "m_max": 2})
         assert report.status == "verified"
         assert report.params["notes"]["prefactor_5_9"] == "gcd(2,m-1,n)"
 
-    def test_alternative_interpretation_fails_at_m_1(self, monkeypatch):
-        monkeypatch.setenv("MOTZKINLAB_CONJ59_PREFACTOR", "gcd(2^(m-1),n)")
-        report = verify_claim("CONJ-5.3.ab", {"n_max": 6, "h_max": 1, "m_max": 1})
-        assert report.params["notes"]["prefactor_5_9"] == "gcd(2^(m-1),n)"
-        assert report.status == "counterexample"
-        assert report.counterexamples[0] == {
-            "params": {"part": "5.9", "h": 1, "m": 1, "n": 2},
-            "lhs": "coefficient of x^1 = 7/2", "rhs": "an integer"}
+    def test_alternative_interpretation_fails_at_m_1(self):
+        # (5.9) read with gcd(2^(m-1), n): at m = 1 the alternating S^(1) sum
+        # times 1/(n(n+1)(n+2)) is integral at n = 1 but not at n = 2
+        def witness(n, m=1):
+            total = claims._POW_SUM.at(n, (claims._BIG_S_POLY, 1, m, -1))
+            return claims._integrality_witness(total, gcd(2 ** (m - 1), n), n * (n + 1) * (n + 2))
+
+        assert witness(1) is None
+        assert witness(2) == (1, Fraction(7, 2))
 
 
 class TestMutationSensitivity:
@@ -759,6 +779,20 @@ class TestEngine:
         assert serial.counterexamples == parallel.counterexamples
         assert len(serial.counterexamples) == 1
         assert serial.counterexamples[0]["params"] == {"p": 11}
+
+    def test_stop_on_first_stops_checking(self, monkeypatch):
+        # CONJ-5.1.b holds at p = 5, 7 and fails from p = 11 on
+        claim = CLAIMS["CONJ-5.1.b"]
+        calls = []
+
+        def counting(point):
+            calls.append(point)
+            return claim.check(point)
+
+        monkeypatch.setitem(CLAIMS, "CONJ-5.1.b", dataclasses.replace(claim, check=counting))
+        report = verify_claim("CONJ-5.1.b", {"prime_hi": 60}, stop_on_first=True)
+        assert [ce["params"] for ce in report.counterexamples] == [{"p": 11}]
+        assert calls == [5, 7, 11]
 
     def test_suite_stop_on_first_counterexample(self):
         # CONJ-5.1.b fails within the conjectures suite; later claims are skipped

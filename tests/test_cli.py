@@ -9,6 +9,7 @@ import sys
 
 from motzkinlab import claims, cli
 from motzkinlab.cli import main
+from motzkinlab.reports import VerificationReport
 
 W_VALUES = [-1, -1, 1, 5, 13, 29, 63, 139, 317, 749, 1827, 4575, 11699]
 
@@ -85,13 +86,39 @@ class TestVerify:
         assert code == 2
         assert "invalid range" in err
 
-    def test_invalid_prefactor_setting_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOTZKINLAB_CONJ59_PREFACTOR", "bogus")
-        code, out, err = run_cli(capsys, "verify", "THM-1.1.i", "--n-max", "5")
-        assert code == 2
-        assert out == ""
-        assert err.splitlines() == [
-            "error: unsupported MOTZKINLAB_CONJ59_PREFACTOR 'bogus'"]
+    def test_jobs_below_1_exits_2(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a claim ran")
+
+        monkeypatch.setattr(cli, "verify_claim", must_not_run)
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        for argv in (("verify", "THM-1.1.i", "--jobs", "0"), ("suite", "all", "--jobs", "-3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: --jobs must be >= 1, got {argv[-1]}"]
+
+    def test_jobs_lowered_to_usable_cpus(self, capsys, monkeypatch):
+        # only the jobs value that reaches the engine is recorded: no pool starts
+        seen = []
+
+        def record_verify(claim_id, overrides, *, stop_on_first, jobs):
+            seen.append(jobs)
+            return VerificationReport(claim_id, {}, "verified")
+
+        def record_suite(name, overrides, *, deep, stop_on_first, jobs):
+            seen.append(jobs)
+            return []
+
+        monkeypatch.setattr(cli, "verify_claim", record_verify)
+        monkeypatch.setattr(cli, "run_suite", record_suite)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for argv in (("verify", "THM-1.1.i", "--jobs", str(10 ** 6)),
+                     ("verify", "THM-1.1.i", "--jobs", "2"),
+                     ("suite", "all", "--jobs", "3"),
+                     ("suite", "all", "--jobs", "4")):
+            assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+        assert seen == [3, 2, 3, 3]
 
     def test_empty_prime_range_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "THM-1.1.ii",
