@@ -41,7 +41,7 @@ def s_quotient(n: int) -> int:
     """s(n) = (2/n) * sum_{k=1..n} (2k+1) * Motzkin(k)^2 (always an integer)."""
     if n < 1:
         raise ValueError("s_quotient: n must be >= 1")
-    total = 2 * _WSUM_M.at(n)
+    total = 2 * _WSUM_M.at(n, 1)
     q, r = divmod(total, n)
     if r:
         raise NonIntegral(f"s_quotient({n}): remainder {r}", r)
@@ -52,7 +52,7 @@ def t_quotient(n: int) -> int:
     """t(n) = 6/(n^2(n^2-1)) * sum_{k=0..n-1} k(k+1)(8k+9) T_k T_{k+1}."""
     if n < 2:
         raise ValueError("t_quotient: n must be >= 2")
-    total = 6 * _TT_SUM.at(n)
+    total = 6 * _TT_SUM.at(n, 9)
     q, r = divmod(total, n * n * (n * n - 1))
     if r:
         raise NonIntegral(f"t_quotient({n}): remainder {r}", r)
@@ -80,43 +80,43 @@ def _d_of(key) -> int:
     return b * b - 4 * c
 
 
-# sum_{k=1..n} (2k+1) M_k^2
-_WSUM_M = _Acc(1, lambda prev, n, _: prev + (2 * n + 1) * seq.motzkin(n) ** 2)
-# mutated weight (2k+2)
-_WSUM_M_MUT = _Acc(1, lambda prev, n, _: prev + (2 * n + 2) * seq.motzkin(n) ** 2)
-# sum_{k=0..n-1} k(k+1)(8k+9) T_k T_{k+1}
-_TT_SUM = _Acc(1, lambda prev, n, _: prev
-               + (n - 1) * n * (8 * n + 1) * seq.central_trinomial(n - 1) * seq.central_trinomial(n))
-_TT_SUM_MUT = _Acc(1, lambda prev, n, _: prev
-                   + (n - 1) * n * (8 * n + 2) * seq.central_trinomial(n - 1) * seq.central_trinomial(n))
-# sum_{k=0..n-1} (k+1)(k+2)(2k+3) M_k(b,c)^2 d^(n-1-k)
-_S16 = _Acc(1, lambda prev, n, key: _d_of(key) * prev
-            + n * (n + 1) * (2 * n + 1) * seq.gen_motzkin(n - 1, *key) ** 2)
-# same with (-d)^(n-1-k)
-_S17 = _Acc(1, lambda prev, n, key: -_d_of(key) * prev
-            + n * (n + 1) * (2 * n + 1) * seq.gen_motzkin(n - 1, *key) ** 2)
-# mutated (1.8): weight (k+1)(k+2)(2k+4) at b = c = 1 (so -d = 3)
-_S18_MUT = _Acc(1, lambda prev, n, _: 3 * prev
-                + n * (n + 1) * (2 * n + 2) * seq.motzkin(n - 1) ** 2)
+# These steps unpack their key.  Lambdas that sliced it took 2.5 ms instead of
+# 1.5 ms for COR-1.1.ab's two sums to n = 333 (Python 3.11, 2-vCPU VM).
+def _msq_step(prev, n, key):
+    b, c, sigma, e = key
+    return sigma * (b * b - 4 * c) * prev + n * (n + 1) * (2 * n - 2 + e) * seq.gen_motzkin(n - 1, b, c) ** 2
+
+
+def _s411_step(prev, n, key):
+    b, c, delta = key
+    return ((b * b - 4 * c) * prev
+            + n ** (2 * delta + 1) * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c))
+
+
+# One running sum per sum of the paper, keyed by the constants that vary.  A
+# MUT-* fixture reads its real claim's sum with one weight key changed, and
+# Corollary 1.1 reads Theorem 1.3's sums at (b, c) = (3, 2), where d = 1,
+# D_k = T_k(3,2) and s_k = M_(k-1)(3,2).
+# sum_{k=1..n} (2k+e) M_k^2, keyed by e: the claims read e = 1, MUT-THM-1.1.i e = 2
+_WSUM_M = _Acc(1, lambda prev, n, e: prev + (2 * n + e) * seq.motzkin(n) ** 2)
+# sum_{k=0..n-1} k(k+1)(8k+e) T_k T_{k+1}, keyed by e: the claims read e = 9,
+# MUT-THM-1.2 e = 10
+_TT_SUM = _Acc(1, lambda prev, n, e: prev + (n - 1) * n * (8 * n - 8 + e)
+               * seq.central_trinomial(n - 1) * seq.central_trinomial(n))
+# sum_{k=0..n-1} (k+1)(k+2)(2k+e) M_k(b,c)^2 (sigma*d)^(n-1-k), keyed (b, c, sigma, e)
+# with sigma = +1 or -1: THM-1.3.c/d read (b, c, +-1, 3), ID-1.8 (1, 1, -1, 3),
+# COR-1.1.c/d (3, 2, +-1, 3) and MUT-ID-1.8 (1, 1, -1, 4)
+_MSQ_SUM = _Acc(1, _msq_step)
 # sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k)
 _S31 = _Acc(1, lambda prev, n, key: -_d_of(key) * prev
             + (2 * n - 1) * seq.gen_trinomial(n - 1, *key) ** 2)
 # sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k), keyed (b, c, delta); THM-1.3.a
-# reads delta = 0 and THM-1.3.b delta = 1
-_S411 = _Acc(1, lambda prev, n, key: _d_of(key[:2]) * prev
-             + n ** (2 * key[2] + 1) * seq.gen_trinomial(n, *key[:2]) * seq.gen_trinomial(n - 1, *key[:2]))
-# Delannoy sums for (1.9)
-_S19A = _Acc(1, lambda prev, n, _: prev + n * seq.delannoy(n) * seq.delannoy(n - 1))
-_S19B = _Acc(1, lambda prev, n, _: prev + n ** 3 * seq.delannoy(n) * seq.delannoy(n - 1))
-# sum_{k=1..n} k(k+1)(2k+1) s_k^2
-_S110 = _Acc(1, lambda prev, n, _: prev
-             + n * (n + 1) * (2 * n + 1) * seq.schroder_little(n) ** 2)
-# sum_{k=1..n} (-1)^(n-k) k(k+1)(2k+1) s_k^2
-_S111 = _Acc(1, lambda prev, n, _: n * (n + 1) * (2 * n + 1) * seq.schroder_little(n) ** 2 - prev)
-# sum_{k=0..n-1} (8k+9) W_k^2
-_SW52 = _Acc(1, lambda prev, n, _: prev + (8 * n + 1) * seq.motzkin_analog_w(n - 1) ** 2)
-# sum_{k=0..n-1} W_k^2
-_SW51 = _Acc(1, lambda prev, n, _: prev + seq.motzkin_analog_w(n - 1) ** 2)
+# reads delta = 0, THM-1.3.b delta = 1, COR-1.1.ab (3, 2, 0) and (3, 2, 1)
+_S411 = _Acc(1, _s411_step)
+# sum_{k=0..n-1} (alpha*k+beta) W_k^2, keyed (alpha, beta): CONJ-5.1.a/b read
+# (8, 9) and REM-5.1 (0, 1)
+_WSUM_W = _Acc(1, lambda prev, n, key: prev
+               + (key[0] * (n - 1) + key[1]) * seq.motzkin_analog_w(n - 1) ** 2)
 # double sum of F(k, l) from the (2k+1)M_k^2 telescoping, one integer row per k
 _E28_LHS = _Acc(0, lambda prev, n, _: prev + _e28_row(n))
 # sum_{k=1..n} sign^k k(k+1)(2k+1) f_k(x)^m, keyed (f, h, m, sign) for a family
@@ -268,7 +268,7 @@ def _exponent_points(*, a_lo: int, even: bool):
 
 def _check_thm_1_1_i(point):
     n = point
-    total = 2 * _WSUM_M.at(n)
+    total = 2 * _WSUM_M.at(n, 1)
     ok, rem = _divides(total, n)
     if not ok:
         return _fail(f"2*sum = {total} = {rem} (mod {n})", "0 (mod n)")
@@ -277,7 +277,7 @@ def _check_thm_1_1_i(point):
 
 def _check_thm_1_1_ii(point):
     p = point
-    total = 1 + _WSUM_M.at(p - 1)  # k = 0 contributes 1 * M_0^2
+    total = 1 + _WSUM_M.at(p - 1, 1)  # k = 0 contributes 1 * M_0^2
     rhs = 12 * p * modular.legendre(p, 3)
     if (total - rhs) % (p * p):
         return _fail(f"sum = {total % (p * p)} (mod p^2)", f"12p(p/3) = {rhs % (p * p)} (mod p^2)")
@@ -286,7 +286,7 @@ def _check_thm_1_1_ii(point):
 
 def _check_thm_1_2(point):
     n = point
-    total = _TT_SUM.at(n)
+    total = _TT_SUM.at(n, 9)
     divisor = n * n * (n * n - 1) // 6
     ok, rem = _divides(6 * total, n * n * (n * n - 1))
     if not ok:
@@ -316,7 +316,7 @@ def _check_thm_1_3_b(point):
 
 def _check_thm_1_3_c(point):
     b, c, n = point
-    total = gcd(2, n) * _S16.at(n, (b, c))
+    total = gcd(2, n) * _MSQ_SUM.at(n, (b, c, 1, 3))
     divisor = n * (n + 1) * (n + 2)
     ok, rem = _divides(total, divisor)
     if not ok:
@@ -329,7 +329,7 @@ def _check_thm_1_3_d(point):
     mm = seq.gen_motzkin(n, b, c) * seq.gen_motzkin(n - 1, b, c)
     if mm % abs(b):
         return _fail(f"M_n*M_(n-1) = {mm}", f"0 (mod b = {b})")
-    lhs = b * _S17.at(n, (b, c))
+    lhs = b * _MSQ_SUM.at(n, (b, c, -1, 3))
     rhs = n * (n + 1) * (n + 2) * mm
     if lhs != rhs:
         return _fail(f"b*alt-sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")
@@ -338,7 +338,7 @@ def _check_thm_1_3_d(point):
 
 def _check_id_1_8(point):
     n = point
-    lhs = _S17.at(n, (1, 1))
+    lhs = _MSQ_SUM.at(n, (1, 1, -1, 3))
     rhs = n * (n + 1) * (n + 2) * seq.motzkin(n) * seq.motzkin(n - 1)
     if lhs != rhs:
         return _fail(f"sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")
@@ -348,11 +348,11 @@ def _check_id_1_8(point):
 def _check_cor_1_1_ab(point):
     n = point
     d1 = 3 * (n * (n + 1) // 2)
-    ok, rem = _divides(_S19A.at(n), d1)
+    ok, rem = _divides(_S411.at(n, (3, 2, 0)), d1)
     if not ok:
         return _fail(f"sum k*D_k*D_(k-1) = {rem} (mod {d1})", "0 (mod 3n(n+1)/2)")
     d2 = (n * (n + 1) // 2) ** 2
-    ok, rem = _divides(_S19B.at(n), d2)
+    ok, rem = _divides(_S411.at(n, (3, 2, 1)), d2)
     if not ok:
         return _fail(f"sum k^3*D_k*D_(k-1) = {rem} (mod {d2})", "0 (mod n^2(n+1)^2/4)")
     return _ok()
@@ -361,7 +361,7 @@ def _check_cor_1_1_ab(point):
 def _check_cor_1_1_c(point):
     n = point
     divisor = n * (n + 1) * (n + 2) // gcd(2, n)
-    ok, rem = _divides(_S110.at(n), divisor)
+    ok, rem = _divides(_MSQ_SUM.at(n, (3, 2, 1, 3)), divisor)
     if not ok:
         return _fail(f"sum = {rem} (mod {divisor})", "0 (mod n(n+1)(n+2)/gcd(2,n))")
     return _ok()
@@ -372,7 +372,7 @@ def _check_cor_1_1_d(point):
     ss = seq.schroder_little(n) * seq.schroder_little(n + 1)
     if ss % 3:
         return _fail(f"s_n*s_(n+1) = {ss}", "0 (mod 3)")
-    total = _S111.at(n)
+    total = _MSQ_SUM.at(n, (3, 2, -1, 3))
     divisor = n * (n + 1) * (n + 2)
     if total % divisor:
         return _fail(f"alt-sum = {total % divisor} (mod {divisor})", "0 (mod n(n+1)(n+2))")
@@ -415,7 +415,7 @@ def _check_rem_2_1(point):
 
 def _check_lem_2_2(point):
     n = point
-    lhs = (n + 2) * _WSUM_M.at(n)
+    lhs = (n + 2) * _WSUM_M.at(n, 1)
     rhs = sum((4 * n - 2 * k + 3) * (n + k + 2) * comb(n + k + 1, 2 * k)
               * comb(2 * k, k) * comb(2 * k + 1, k) * (-3) ** (n + 1 - k)
               for k in range(n + 2))
@@ -441,11 +441,16 @@ def _check_eq_2_8(point):
     return _ok()
 
 
-def _q29_factors(_prefix, n: int, shift: int) -> tuple[list, list, list]:
-    """The point-independent factors of LEM-2.3's sum at n, folded mod q^n - 1:
-    for k = 0..n-1, [k+w]_q [2k k], [n+1 k] and [n+k k], with w = shift.
+def _q29_factors(prefix, bexp: int, key: tuple[int, int]) -> tuple[list, list, list]:
+    """LEM-2.3's point-independent factors at b = bexp, folded mod q^n - 1: for
+    k = 0..n-1, [k+w]_q [2k k] [n+k k]^b, [n+1 k] and [n+k k], with (n, w) = key.
 
-    Rows m <= max(2n-1, n+1) of the folded q-Pascal triangle hold them all."""
+    Entry 0 reads rows m <= max(2n-1, n+1) of the folded q-Pascal triangle;
+    entry b multiplies the first list of entry b - 1 by its last."""
+    n, shift = key
+    if prefix:
+        terms, upper, lower = prefix[-1]
+        return [tuple(_mul_cyclic(t, f, n)) for t, f in zip(terms, lower)], upper, lower
     base, upper, lower = [], [], []
     for m, row in enumerate(_folded_q_binomial_rows(n, max(2 * n - 1, n + 1))):
         if m % 2 == 0 and m // 2 < n:
@@ -458,20 +463,7 @@ def _q29_factors(_prefix, n: int, shift: int) -> tuple[list, list, list]:
     return base, upper, lower
 
 
-def _q29_chain(prefix, bexp: int, key: tuple[int, int]) -> list:
-    """[k+w]_q [2k k] [n+k k]^b for k = 0..n-1 at b = bexp, from b - 1."""
-    n, shift = key
-    base, _, lower = _Q29_FACTORS.at(n, shift)
-    if not bexp:
-        return base
-    return [tuple(_mul_cyclic(t, f, n)) for t, f in zip(prefix[-1], lower)]
-
-
-# per n, keyed by the weight shift w; then per (n, w), indexed by b.  A fill
-# holds its cache's lock, so a _Q29_CHAIN step reads _Q29_FACTORS and never
-# the other way round.
-_Q29_FACTORS = seq._PrefixCache(_q29_factors, start=1)
-_Q29_CHAIN = seq._PrefixCache(_q29_chain)
+_Q29 = seq._PrefixCache(_q29_factors)  # keyed (n, w), indexed by b
 
 
 def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
@@ -479,9 +471,9 @@ def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
     folded mod q^n - 1: the n coefficients of its residue.  The powers of
     -[3]_q come from Horner's rule, acc = acc*(-[3]_q) + term_k."""
     neg_q3 = -q_integer(3)
-    upper = _Q29_FACTORS.at(n, weight_shift)[1]
+    terms, upper, _ = _Q29.at(bexp, (n, weight_shift))
     acc = [0] * n
-    for term, top in zip(_Q29_CHAIN.at(bexp, (n, weight_shift)), upper):
+    for term, top in zip(terms, upper):
         for _ in range(a):
             term = _mul_cyclic(term, top, n)
         acc = [x + t for x, t in zip(_fold((Poly(acc) * neg_q3).coeffs, n), term)]
@@ -527,7 +519,7 @@ def _check_lem_2_4(point):
 
 def _check_eq_2_11(point):
     n = point
-    lhs = 2 * _WSUM_M.at(n)
+    lhs = 2 * _WSUM_M.at(n, 1)
     rhs = 27 * sum(seq.binomial(n + 1, k) * comb(n + k, k) * comb(2 * k, k)
                    * (k + 2) * (-3) ** (n - 1 - k) for k in range(n))
     if (lhs - rhs) % n:
@@ -565,7 +557,7 @@ def _sum_3_3(n: int) -> int:
 
 def _check_lem_3_2(point):
     n = point
-    lhs = 6 * _TT_SUM.at(n)
+    lhs = 6 * _TT_SUM.at(n, 9)
     rhs = (-1) ** n * n * _sum_3_3(n)
     if lhs != rhs:
         return _fail(f"6*sum k(k+1)(8k+9)T_k*T_(k+1) = {lhs}", f"closed form = {rhs}")
@@ -794,7 +786,7 @@ def _check_rec_W(point):
 
 def _check_conj_5_1_a(point):
     n = point
-    total = _SW52.at(n)
+    total = _WSUM_W.at(n, (8, 9))
     if total % (2 * n) != n % (2 * n):
         return _fail(f"sum = {total % (2 * n)} (mod {2 * n})", f"n = {n % (2 * n)} (mod 2n)")
     return _ok()
@@ -802,7 +794,7 @@ def _check_conj_5_1_a(point):
 
 def _check_conj_5_1_b(point):
     p = point
-    total = _SW52.at(p)
+    total = _WSUM_W.at(p, (8, 9))
     if total % p:
         return _fail(f"sum = {total}", f"0 (mod p = {p}); p must divide the sum")
     quotient = total // p
@@ -816,7 +808,7 @@ def _check_conj_5_1_b(point):
 
 def _check_rem_5_1(point):
     p = point
-    total = _SW51.at(p)
+    total = _WSUM_W.at(p, (0, 1))
     if total % p != 2 % p:
         return _fail(f"sum W_k^2 = {total % p} (mod {p})", "2 (mod p)")
     return _ok()
@@ -859,7 +851,7 @@ def _check_integrality(point):
 
 def _check_mut_thm_1_1_i(point):
     n = point
-    total = 2 * _WSUM_M_MUT.at(n)
+    total = 2 * _WSUM_M.at(n, 2)
     ok, rem = _divides(total, n)
     if not ok:
         return _fail(f"2*sum (2k+2)M_k^2 = {rem} (mod {n})", "0 (mod n)")
@@ -868,7 +860,7 @@ def _check_mut_thm_1_1_i(point):
 
 def _check_mut_thm_1_2(point):
     n = point
-    ok, rem = _divides(6 * _TT_SUM_MUT.at(n), n * n * (n * n - 1))
+    ok, rem = _divides(6 * _TT_SUM.at(n, 10), n * n * (n * n - 1))
     if not ok:
         return _fail(f"6*sum k(k+1)(8k+10)T_k*T_(k+1): remainder {rem}",
                      "0 (mod n^2(n^2-1))")
@@ -877,7 +869,7 @@ def _check_mut_thm_1_2(point):
 
 def _check_mut_id_1_8(point):
     n = point
-    lhs = _S18_MUT.at(n)
+    lhs = _MSQ_SUM.at(n, (1, 1, -1, 4))
     rhs = n * (n + 1) * (n + 2) * seq.motzkin(n) * seq.motzkin(n - 1)
     if lhs != rhs:
         return _fail(f"mutated sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")

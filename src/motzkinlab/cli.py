@@ -118,22 +118,19 @@ def _cmd_seq(args) -> int:
         print(f"error: unknown sequence {name!r}; choose from {', '.join(_SEQUENCES)}",
               file=sys.stderr)
         return 2
-    use_params = args.b is not None or args.c is not None
-    if use_params:
+    lo, fn = _SEQUENCES[name]
+    if args.n_max < lo:
+        print(f"error: --max must be >= {lo} for {name!r}", file=sys.stderr)
+        return 2
+    if args.b is not None or args.c is not None:
         if name not in _GENERALIZED:
             print(f"error: sequence {name!r} does not take --b/--c", file=sys.stderr)
             return 2
         if args.b is None or args.c is None:
             print("error: --b and --c must be given together", file=sys.stderr)
             return 2
-        fn = _GENERALIZED[name]
-        for n in range(0, args.n_max + 1):
-            print(f"{n}\t{fn(n, args.b, args.c)}")
-        return 0
-    lo, fn = _SEQUENCES[name]
-    if args.n_max < lo:
-        print(f"error: --max must be >= {lo} for {name!r}", file=sys.stderr)
-        return 2
+        gen = _GENERALIZED[name]
+        fn = lambda n: gen(n, args.b, args.c)
     for n in range(lo, args.n_max + 1):
         print(f"{n}\t{fn(n)}")
     return 0

@@ -7,6 +7,8 @@ under parallelism.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import sys
 import threading
@@ -54,6 +56,83 @@ class TestGoldenQuotients:
             s_quotient(0)
         with pytest.raises(ValueError):
             t_quotient(1)
+
+
+# The sequences from their defining sums, written out with math.comb.
+@functools.cache
+def _cat(j: int) -> int:
+    return comb(2 * j, j) // (j + 1)
+
+
+@functools.cache
+def _m_bc(k: int, b: int, c: int) -> int:  # M_k(b, c); M_k = M_k(1, 1) = sum_j C(k, 2j) Cat_j
+    return sum(comb(k, 2 * j) * _cat(j) * b ** (k - 2 * j) * c ** j for j in range(k // 2 + 1))
+
+
+@functools.cache
+def _t_bc(k: int, b: int, c: int) -> int:
+    return sum(comb(k, 2 * j) * comb(2 * j, j) * b ** (k - 2 * j) * c ** j
+               for j in range(k // 2 + 1))
+
+
+@functools.cache
+def _delannoy(k: int) -> int:
+    return sum(comb(k, j) * comb(k + j, j) for j in range(k + 1))
+
+
+@functools.cache
+def _schroder_little(k: int) -> int:  # sum_j N(k, j) 2^(k-j), N the Narayana numbers
+    return sum(comb(k, j) * comb(k, j - 1) // k * 2 ** (k - j) for j in range(1, k + 1))
+
+
+@functools.cache
+def _w(k: int) -> int:
+    return sum(comb(k, 2 * j) * comb(2 * j, j) // (2 * j - 1) for j in range(k // 2 + 1))
+
+
+# Each (running sum, key) that a checker reads, with the sum as the claim
+# states it.  Corollary 1.1's keys at (b, c) = (3, 2) are written with D_k
+# and s_k, the MUT-* keys with their changed weight.
+_KEYED_SUMS = [
+    ("_WSUM_M", 1, lambda n: sum((2 * k + 1) * _m_bc(k, 1, 1) ** 2 for k in range(1, n + 1))),
+    ("_WSUM_M", 2, lambda n: sum((2 * k + 2) * _m_bc(k, 1, 1) ** 2 for k in range(1, n + 1))),
+    *[("_TT_SUM", e, lambda n, e=e: sum(k * (k + 1) * (8 * k + e) * _t_bc(k, 1, 1)
+                                        * _t_bc(k + 1, 1, 1) for k in range(n)))
+      for e in (9, 10)],
+    *[("_MSQ_SUM", (b, c, sigma, e),
+       lambda n, b=b, c=c, sigma=sigma, e=e: sum(
+           (k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
+           * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n)))
+      for b, c, sigma, e in ((2, -1, 1, 3), (2, -1, -1, 3), (-3, 1, 1, 3), (-3, 1, -1, 3),
+                             (1, 1, -1, 3), (1, 1, -1, 4))],
+    *[("_MSQ_SUM", (3, 2, sigma, 3),
+       lambda n, sigma=sigma: sum(sigma ** (n - k) * k * (k + 1) * (2 * k + 1)
+                                  * _schroder_little(k) ** 2 for k in range(1, n + 1)))
+      for sigma in (1, -1)],
+    *[("_S411", (b, c, delta),
+       lambda n, b=b, c=c, delta=delta: sum(
+           k ** (2 * delta + 1) * _t_bc(k, b, c) * _t_bc(k - 1, b, c)
+           * (b * b - 4 * c) ** (n - k) for k in range(1, n + 1)))
+      for b, c in ((2, -1), (-3, 1), (2, 1)) for delta in (0, 1)],
+    *[("_S411", (3, 2, delta),
+       lambda n, delta=delta: sum(k ** (2 * delta + 1) * _delannoy(k) * _delannoy(k - 1)
+                                  for k in range(1, n + 1)))
+      for delta in (0, 1)],
+    *[("_S31", (b, c),
+       lambda n, b=b, c=c: sum((2 * k + 1) * _t_bc(k, b, c) ** 2
+                               * (4 * c - b * b) ** (n - 1 - k) for k in range(n)))
+      for b, c in ((2, -1), (-3, 1), (2, 1))],
+    *[("_WSUM_W", (alpha, beta),
+       lambda n, alpha=alpha, beta=beta: sum((alpha * k + beta) * _w(k) ** 2 for k in range(n)))
+      for alpha, beta in ((8, 9), (0, 1))],
+]
+
+
+@pytest.mark.parametrize("acc, key, oracle", _KEYED_SUMS,
+                         ids=[f"{acc}-{key}" for acc, key, _ in _KEYED_SUMS])
+def test_keyed_sum_matches_its_defining_sum(acc, key, oracle):
+    cache = getattr(claims, acc)
+    assert [cache.at(n, key) for n in range(1, 61)] == [oracle(n) for n in range(1, 61)]
 
 
 class TestRegistry:
@@ -496,6 +575,21 @@ class TestMutationSensitivity:
         first = report.counterexamples[0]["params"]["n"]
         assert first <= 25
 
+    # sha256 of each fixture's default report without elapsed_ms.  Each
+    # fixture reads its real claim's running sum with one weight key
+    # changed, so a wrong key changes the report and its digest.
+    MUTATION_DIGESTS = {
+        "MUT-THM-1.1.i": "9a25a656189fff866bb950c242e4b2e6fcb66dc8cc92a9ca48e12818684fbcaf",
+        "MUT-THM-1.2": "b5ad7629a8004926e75f40c9078e52bd57dcfb4e6d075fd4e13df3f85defd3a9",
+        "MUT-ID-1.8": "0ac416f13d31495ead01f0b9ce63ee3ad7e2a51c0ab47333f524be00a147a583",
+        "MUT-LEM-2.3": "0d6aa66699ad9be499b8e91063700158c79de572762d861f397c2a2fea676cbe",
+    }
+
+    @pytest.mark.parametrize("claim_id", sorted(MUTATION_DIGESTS))
+    def test_mutation_report_is_pinned(self, claim_id):
+        text = reports_to_json([verify_claim(claim_id)], include_elapsed=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.MUTATION_DIGESTS[claim_id]
+
     def test_stop_on_first(self):
         report = verify_claim("MUT-THM-1.1.i", stop_on_first=True)
         assert len(report.counterexamples) == 1
@@ -514,11 +608,15 @@ _SMALL_AT_3_2 = {"n_max": 12, "prime_hi": 50, "b_set": [3], "c_set": [2]}
       "EQ-4.11")),
     (seq._GEN_MOTZKIN, (3, 2),
      ("COR-1.1.c", "COR-1.1.d", "THM-1.3.c", "THM-1.3.d", "REM-2.1", "LEM-2.1.b")),
-], ids=["M", "T", "D=T(3,2)", "s=M(3,2)"])
+    # Corollary 1.1 reads Theorem 1.3's running sums at (b, c) = (3, 2)
+    (claims._MSQ_SUM, (3, 2, 1, 3), ("COR-1.1.c", "THM-1.3.c")),
+    (claims._MSQ_SUM, (3, 2, -1, 3), ("COR-1.1.d", "THM-1.3.d")),
+    (claims._S411, (3, 2, 0), ("COR-1.1.ab", "THM-1.3.a", "EQ-4.11")),
+], ids=["M", "T", "D=T(3,2)", "s=M(3,2)", "sum-s^2", "alt-sum-s^2", "sum-D*D"])
 def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, dependents):
-    """One wrong table entry (index 7) must refute every claim that reads it,
-    through every accumulator built on it; after the one reset the same
-    claims verify again, so no cache keeps the wrong value."""
+    """One wrong table or running-sum entry (index 7) must refute every claim
+    that reads it, through every accumulator built on it; after the one reset
+    the same claims verify again, so no cache keeps the wrong value."""
     def statuses():
         return {cid: verify_claim(cid, _SMALL_AT_3_2).status for cid in dependents}
 
@@ -577,24 +675,19 @@ def _bump_k1(residues) -> list:
     return out
 
 
-@pytest.mark.parametrize("cache, key, i, part", [
-    (claims._Q29_FACTORS, 2, 7, 0),
-    (claims._Q29_FACTORS, 2, 7, 1),
-    (claims._Q29_FACTORS, 2, 7, 2),
-    (claims._Q29_CHAIN, (7, 2), 1, None),
-], ids=["[k+w][2k k]", "[n+1 k]", "[n+k k]", "b-chain"])
-def test_perturbed_q_factor_is_caught_and_reset_clears_it(cache, key, i, part):
-    """Coefficient 3 of the k = 1 residue of one cached LEM-2.3 list at n = 7,
-    plus 1, must refute the claim; after the one reset it verifies again."""
+@pytest.mark.parametrize("b, part", [(0, 0), (0, 1), (0, 2), (1, 0)],
+                         ids=["[k+w][2k k]", "[n+1 k]", "[n+k k]", "b-chain"])
+def test_perturbed_q_factor_is_caught_and_reset_clears_it(b, part):
+    """Coefficient 3 of the k = 1 residue of one list in LEM-2.3's cached
+    entry at (n, w) = (7, 2), plus 1, must refute the claim; after the one
+    reset it verifies again."""
     small = {"n_max": 8, "qexp_a_max": 2, "qexp_b_max": 2}
+    cache, key = claims._Q29, (7, 2)
     seq._reset_caches()
     try:
-        entry = cache.at(i, key)
-        if part is None:
-            entry = _bump_k1(entry)
-        else:
-            entry = tuple(_bump_k1(f) if j == part else f for j, f in enumerate(entry))
-        cache._data[key][i - cache._start] = entry
+        entry = cache.at(b, key)
+        cache._data[key][b] = tuple(_bump_k1(f) if j == part else f
+                                    for j, f in enumerate(entry))
         assert verify_claim("LEM-2.3", small).status == "counterexample"
     finally:
         seq._reset_caches()
@@ -602,9 +695,8 @@ def test_perturbed_q_factor_is_caught_and_reset_clears_it(cache, key, i, part):
 
 
 def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
-    # a _Q29_CHAIN fill takes _Q29_FACTORS's lock inside its own; threads
-    # that start from either cache, in opposite n orders, must all finish
-    # with the serial residues
+    # threads that fill the one q-factor cache in opposite n orders, for
+    # both weights, must all finish with the serial residues
     points = [(n, a, bexp, shift) for n in range(1, 11) for a in (1, 2)
               for bexp in (0, 1, 2) for shift in (2, 3)]
     seq._reset_caches()
@@ -616,7 +708,7 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
             start.wait()
             if order % 3 == 2:
                 for n in range(10, 0, -1):
-                    claims._Q29_FACTORS.at(n, 3)
+                    claims._Q29.at(2, (n, 3))
             pts = points if order % 2 else points[::-1]
             out = {pt: _q_sum_2_9(*pt) for pt in pts}
             got.append([out[pt] for pt in points])

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from motzkinlab import claims, cli
 from motzkinlab.cli import main
@@ -50,6 +51,13 @@ class TestSeq:
                                "--b", "3", "--c", "2")
         assert code == 0
         assert [int(l.split("\t")[1]) for l in out.strip().splitlines()] == [1, 3, 13, 63, 321]
+
+    @pytest.mark.parametrize("params", [(), ("--b", "1", "--c", "1")], ids=["plain", "b-c"])
+    def test_negative_max_exits_2(self, capsys, params):
+        # --max is checked before --b/--c, so both paths give the same line
+        code, out, err = run_cli(capsys, "seq", "motzkin", "--max", "-1", *params)
+        assert (code, out) == (2, "")
+        assert err == "error: --max must be >= 0 for 'motzkin'\n"
 
     def test_params_rejected_for_plain_sequence(self, capsys):
         code, _, err = run_cli(capsys, "seq", "catalan", "--max", "3", "--b", "1", "--c", "1")
