@@ -2,7 +2,7 @@
 
 Every numbered identity, divisibility, congruence, and conjecture over the
 sequence/polynomial families is registered here as a ``Claim``: a parameter
-grid plus an exact-arithmetic point checker returning ``("ok", derived)``
+``Grid`` plus an exact-arithmetic point checker returning ``("ok", derived)``
 or ``("fail", lhs, rhs)``; grids yield ``Skip`` outside a claim's domain,
 and the engine in ``verify`` turns ordered point results into reports.
 
@@ -12,7 +12,7 @@ are not vacuous.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Iterable
@@ -200,18 +200,27 @@ class Skip:
 # Point grids
 # ---------------------------------------------------------------------------
 
-def _n_points(lo: int = 1):
-    def points(rng: ParamRange):
-        return iter(range(lo, rng.n_max + 1))
-    return points
+@dataclass(frozen=True)
+class Grid:
+    """A claim's domain: the coordinate names of its points, the
+    ``ParamRange`` fields its points are built from (the range a report
+    echoes), and the function that builds them."""
+    names: tuple[str, ...]
+    keys: tuple[str, ...]
+    points: Callable[[ParamRange], Iterable]
 
 
-def _prime_points(rng: ParamRange):  # primes p > 3
-    return iter(modular.primes_in(max(rng.prime_lo, 5), rng.prime_hi))
+def _n_points(lo: int = 1) -> Grid:
+    return Grid(("n",), ("n_max",), lambda rng: range(lo, rng.n_max + 1))
+
+
+def _prime_points() -> Grid:  # primes p > 3
+    return Grid(("p",), ("prime_lo", "prime_hi"),
+                lambda rng: modular.primes_in(max(rng.prime_lo, 5), rng.prime_hi))
 
 
 def _grid_points(*, d_nonzero: bool = False, b_nonzero: bool = False, n_lo: int = 1,
-                 deltas: tuple[int, ...] | None = None):
+                 deltas: tuple[int, ...] | None = None, index: str = "n") -> Grid:
     def points(rng: ParamRange):
         for b in rng.b_set:
             for c in rng.c_set:
@@ -228,10 +237,11 @@ def _grid_points(*, d_nonzero: bool = False, b_nonzero: bool = False, n_lo: int 
                     for delta in deltas:
                         for n in range(n_lo, rng.n_max + 1):
                             yield (b, c, delta, n)
-    return points
+    names = ("b", "c", index) if deltas is None else ("b", "c", "delta", index)
+    return Grid(names, ("n_max", "b_set", "c_set"), points)
 
 
-def _triangle_points(*, strict: bool = True, deltas=None):
+def _triangle_points(*, strict: bool = True, deltas=None) -> Grid:
     """(j, m) pairs with 0 <= j < m <= n_max (or j <= m when not strict)."""
     def points(rng: ParamRange):
         for m in range(1 if strict else 0, rng.n_max + 1):
@@ -241,16 +251,18 @@ def _triangle_points(*, strict: bool = True, deltas=None):
                 else:
                     for delta in deltas:
                         yield (delta, j, m)
-    return points
+    return Grid(("j", "m") if deltas is None else ("delta", "j", "m"), ("n_max",), points)
 
 
-def _nk_points(rng: ParamRange):
-    for n in range(1, rng.n_max + 1):
-        for k in range(1, n + 1):
-            yield (n, k)
+def _nk_points() -> Grid:
+    def points(rng: ParamRange):
+        for n in range(1, rng.n_max + 1):
+            for k in range(1, n + 1):
+                yield (n, k)
+    return Grid(("n", "k"), ("n_max",), points)
 
 
-def _exponent_points(*, a_lo: int, even: bool):
+def _exponent_points(*, a_lo: int, even: bool) -> Grid:
     """(a, b, n) with a_lo <= a <= qexp_a_max, b <= qexp_b_max (a + b even if asked)."""
     def points(rng: ParamRange):
         for a in range(a_lo, rng.qexp_a_max + 1):
@@ -259,7 +271,7 @@ def _exponent_points(*, a_lo: int, even: bool):
                     continue
                 for n in range(1, rng.n_max + 1):
                     yield (a, bexp, n)
-    return points
+    return Grid(("a", "b", "n"), ("n_max", "qexp_a_max", "qexp_b_max"), points)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +900,7 @@ def _check_mut_lem_2_3(point):
 # Points for the composite conjecture claims
 # ---------------------------------------------------------------------------
 
-def _integrality_points(*parts: str):
+def _integrality_points(*parts: str) -> Grid:
     def points(rng: ParamRange):
         for part in parts:
             h_lo, h_hi = _INTEGRALITY_PARTS[part][3:]
@@ -896,14 +908,18 @@ def _integrality_points(*parts: str):
                 for m in range(1, rng.m_max + 1):
                     for n in range(1, rng.n_max + 1):
                         yield (part, h, m, n)
-    return points
+    return Grid(("part", "h", "m", "n"), ("n_max", "h_max", "m_max"), points)
 
 
-def _points_conj_5_1_b(rng: ParamRange):
-    if rng.prime_lo <= 3 <= rng.prime_hi:
-        yield Skip({"p": 3}, "the symbols (p/3) and (3/p) vanish at p = 3; "
-                             "the congruence is outside their domain")
-    yield from _prime_points(rng)
+def _points_conj_5_1_b() -> Grid:
+    primes = _prime_points()
+
+    def points(rng: ParamRange):
+        if rng.prime_lo <= 3 <= rng.prime_hi:
+            yield Skip({"p": 3}, "the symbols (p/3) and (3/p) vanish at p = 3; "
+                                 "the congruence is outside their domain")
+        yield from primes.points(rng)
+    return replace(primes, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -915,12 +931,10 @@ class Claim:
     id: str
     suite: str | None  # "theorems", "lemmas", "identities", "conjectures"; None for MUT-*
     statement: str
-    param_names: tuple[str, ...]
-    points: Callable[[ParamRange], Iterable]
+    grid: Grid
     check: Callable
     default_range: ParamRange
     deep_range: ParamRange | None = None
-    range_keys: tuple[str, ...] = ("n_max",)
     notes: dict | None = None
 
 
@@ -936,197 +950,173 @@ def _register(claim: Claim) -> Claim:
     return claim
 
 
-def _mk(claim_id, suite, statement, param_names, points, check, *,
-        deep=None, range_keys=("n_max",), notes=None, **range_overrides):
+def _mk(claim_id, suite, statement, grid, check, *, deep=None, notes=None,
+        **range_overrides):
     rng = _BASE.override(**range_overrides) if range_overrides else _BASE
     deep_rng = rng.override(**deep) if deep else None
-    return _register(Claim(claim_id, suite, statement, param_names, points, check,
-                           rng, deep_rng, range_keys, notes))
-
-
-_GRID_KEYS = ("n_max", "b_set", "c_set")
-_PRIME_KEYS = ("prime_lo", "prime_hi")
+    return _register(Claim(claim_id, suite, statement, grid, check, rng, deep_rng, notes))
 
 _mk("THM-1.1.i", "theorems",
     "2/n * sum_{k=1..n} (2k+1)*M_k^2 is an integer",
-    ("n",), _n_points(), _check_thm_1_1_i,
-    deep={"n_max": 2000})
+    _n_points(), _check_thm_1_1_i, deep={"n_max": 2000})
 _mk("THM-1.1.ii", "theorems",
     "sum_{k=0..p-1} (2k+1)*M_k^2 = 12p(p/3) (mod p^2) for primes p > 3",
-    ("p",), _prime_points, _check_thm_1_1_ii, range_keys=_PRIME_KEYS)
+    _prime_points(), _check_thm_1_1_ii)
 _mk("THM-1.2", "theorems",
     "n^2(n^2-1)/6 divides sum_{k=0..n-1} k(k+1)(8k+9)*T_k*T_{k+1}",
-    ("n",), _n_points(), _check_thm_1_2,
-    deep={"n_max": 1000})
+    _n_points(), _check_thm_1_2, deep={"n_max": 1000})
 _mk("THM-1.3.a", "theorems",
     "b*n(n+1)/2 divides sum_{k=1..n} k*T_k(b,c)*T_{k-1}(b,c)*d^(n-k)",
-    ("b", "c", "n"), _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_a,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_a, n_max=100)
 _mk("THM-1.3.b", "theorems",
     "b*n^2(n+1)^2/4 divides 3*sum_{k=1..n} k^3*T_k(b,c)*T_{k-1}(b,c)*d^(n-k)",
-    ("b", "c", "n"), _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_b,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_b, n_max=100)
 _mk("THM-1.3.c", "theorems",
     "gcd(2,n)/(n(n+1)(n+2)) * sum_{k=0..n-1} (k+1)(k+2)(2k+3)*M_k(b,c)^2*d^(n-1-k) is an integer",
-    ("b", "c", "n"), _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_c,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_c, n_max=100)
 _mk("THM-1.3.d", "theorems",
     "sum_{k=0..n-1} (k+1)(k+2)(2k+3)*M_k(b,c)^2*(-d)^(n-1-k) = n(n+1)(n+2)*M_n*M_{n-1}/b, an integer",
-    ("b", "c", "n"), _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_d,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_d, n_max=100)
 _mk("ID-1.8", "identities",
     "sum_{k=0..n-1} (k+1)(k+2)(2k+3)*M_k^2*3^(n-1-k) = n(n+1)(n+2)*M_n*M_{n-1}",
-    ("n",), _n_points(), _check_id_1_8, deep={"n_max": 500})
+    _n_points(), _check_id_1_8, deep={"n_max": 500})
 _mk("COR-1.1.ab", "theorems",
     "3n(n+1)/2 divides sum k*D_k*D_{k-1} and n^2(n+1)^2/4 divides sum k^3*D_k*D_{k-1}",
-    ("n",), _n_points(), _check_cor_1_1_ab, deep={"n_max": 300})
+    _n_points(), _check_cor_1_1_ab, deep={"n_max": 300})
 _mk("COR-1.1.c", "theorems",
     "n(n+1)(n+2)/gcd(2,n) divides sum_{k=1..n} k(k+1)(2k+1)*s_k^2",
-    ("n",), _n_points(), _check_cor_1_1_c, deep={"n_max": 300})
+    _n_points(), _check_cor_1_1_c, deep={"n_max": 300})
 _mk("COR-1.1.d", "theorems",
     "1/(n(n+1)(n+2)) * sum (-1)^(n-k) k(k+1)(2k+1)*s_k^2 = s_n*s_{n+1}/3, an integer",
-    ("n",), _n_points(), _check_cor_1_1_d, deep={"n_max": 300})
+    _n_points(), _check_cor_1_1_d, deep={"n_max": 300})
 
 _mk("ID-2.3", "identities",
     "S_n(x) = (x+1)*s_n(x)",
-    ("n",), _n_points(), _check_id_2_3, n_max=50)
+    _n_points(), _check_id_2_3, n_max=50)
 _mk("LEM-2.1.a", "lemmas",
     "n(n+1)*s_n(x)^2 = sum_{k=1..n} C(n+k,2k)C(2k,k)C(2k,k+1)*(x(x+1))^(k-1)",
-    ("n",), _n_points(), _check_lem_2_1_a, n_max=50)
+    _n_points(), _check_lem_2_1_a, n_max=50)
 _mk("LEM-2.1.b", "lemmas",
     "M_n(b,c) = sqrt(d)^n * s_{n+1}((b/sqrt(d)-1)/2), checked times 2^n in Z[y]/(y^2-d)",
-    ("b", "c", "n"), _grid_points(d_nonzero=True, n_lo=0), _check_lem_2_1_b,
-    n_max=15, range_keys=_GRID_KEYS)
+    _grid_points(d_nonzero=True, n_lo=0), _check_lem_2_1_b, n_max=15)
 _mk("REM-2.1", "identities",
     "M_n(b,c)^2 = 1/((n+1)(n+2)) * sum_{k=1..n+1} C(n+k+1,2k)C(2k,k)C(2k,k+1)*c^(k-1)*d^(n+1-k)",
-    ("b", "c", "n"), _grid_points(d_nonzero=True, n_lo=0), _check_rem_2_1,
-    n_max=60, range_keys=_GRID_KEYS)
+    _grid_points(d_nonzero=True, n_lo=0), _check_rem_2_1, n_max=60)
 _mk("LEM-2.2", "lemmas",
     "sum_{k=1..n} (2k+1)M_k^2 equals its single-sum telescoped form",
-    ("n",), _n_points(), _check_lem_2_2)
+    _n_points(), _check_lem_2_2)
 _mk("EQ-2.8", "identities",
     "double sum of F(k,l) = 1 + (4n+3)(-3)^(n+1) + factorial-form single sum",
-    ("n",), _n_points(), _check_eq_2_8, n_max=100)
+    _n_points(), _check_eq_2_8, n_max=100)
 _mk("LEM-2.3", "lemmas",
     "[n]_q divides sum_k [n+1 k]^a [n+k k]^b [2k k] [k+2]_q (-[3]_q)^(n-1-k)  (a >= 1)",
     # exponent a = 0 falsifies the congruence (already at q = 1), so the
     # valid grid starts at a = 1; b = 0 is fine
-    ("a", "b", "n"), _exponent_points(a_lo=1, even=False), _check_lem_2_3,
-    n_max=40, range_keys=("n_max", "qexp_a_max", "qexp_b_max"),
+    _exponent_points(a_lo=1, even=False), _check_lem_2_3, n_max=40,
     notes={"a_min": 1,
            "reason": "exponent a = 0 falsifies the divisibility "
                      "(e.g. n = 5: sum = 336 is not divisible by 5 at q = 1)"})
 _mk("LEM-2.4", "lemmas",
     "sum_{k=1..p-1} C(2k,k)/(k*3^k) = (3^(p-1)-1)/p (mod p) for primes p > 3",
-    ("p",), _prime_points, _check_lem_2_4, range_keys=_PRIME_KEYS)
+    _prime_points(), _check_lem_2_4)
 _mk("EQ-2.11", "identities",
     "2*sum (2k+1)M_k^2 = 27*sum C(n+1,k)C(n+k,k)C(2k,k)(k+2)(-3)^(n-1-k) (mod n)",
-    ("n",), _n_points(), _check_eq_2_11)
+    _n_points(), _check_eq_2_11)
 
 _mk("LEM-3.1.a", "lemmas",
     "b * sum_{k=0..n-1} (2k+1)T_k(b,c)^2(-d)^(n-1-k) = n*T_n(b,c)*T_{n-1}(b,c)",
-    ("b", "c", "n"), _grid_points(), _check_lem_3_1_a,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(), _check_lem_3_1_a, n_max=100)
 _mk("LEM-3.1.b", "lemmas",
     "T_k(b,c)^2 = sum_j C(k+j,2j)C(2j,j)^2*c^j*d^(k-j)",
-    ("b", "c", "k"), _grid_points(n_lo=0), _check_lem_3_1_b,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(n_lo=0, index="k"), _check_lem_3_1_b, n_max=100)
 _mk("LEM-3.2", "lemmas",
     "sum k(k+1)(8k+9)T_k*T_{k+1} = ((-1)^n n/6) * sum C(n-1,k)C(-n-1,k)Cat_k*3^(n-1-k)*a(n,k)",
-    ("n",), _n_points(), _check_lem_3_2, n_max=100)
+    _n_points(), _check_lem_3_2, n_max=100)
 _mk("EQ-3.partial", "identities",
     "sum_{k=j+1..m} (k-1)(8k+1)3^(k-1-j) = (3^(m-j)(16m^2-30m+21) - (16j^2-30j+21))/4",
-    ("j", "m"), _triangle_points(), _check_eq_3_partial, n_max=60)
+    _triangle_points(), _check_eq_3_partial, n_max=60)
 _mk("EQ-3.4", "identities",
     "double sum of the weighted T-square telescoping equals its factorial single-sum form",
-    ("n",), _n_points(), _check_eq_3_4, n_max=100)
+    _n_points(), _check_eq_3_4, n_max=100)
 _mk("LEM-3.3", "lemmas",
     "n^2 - 1 divides sum C(n-1,k)C(-n-1,k)Cat_k*3^(n-1-k)*a(n,k)",
-    ("n",), _n_points(), _check_lem_3_3, n_max=100)
+    _n_points(), _check_lem_3_3, n_max=100)
 _mk("LEM-3.4", "lemmas",
     "2n divides sum C(n-1,k)^a C(-n-1,k)^b C(2k,k)(k+2)3^(n-1-k) for a+b even",
-    ("a", "b", "n"), _exponent_points(a_lo=0, even=True), _check_lem_3_4,
-    n_max=80, qexp_a_max=3, qexp_b_max=3,
-    range_keys=("n_max", "qexp_a_max", "qexp_b_max"))
+    _exponent_points(a_lo=0, even=True), _check_lem_3_4, n_max=80, qexp_a_max=3, qexp_b_max=3)
 
 _mk("LEM-4.1", "lemmas",
     "n*T_n(b,c)*T_{n-1}(b,c) = b*sum_j (n-j)C(n+j,2j)C(2j,j)^2*c^j*d^(n-1-j)",
-    ("b", "c", "n"), _grid_points(), _check_lem_4_1,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(), _check_lem_4_1, n_max=100)
 _mk("EQ-4.2", "identities",
     "sum_{k=j..m-1} (-1)^(m-1-k)(2k+1)C(k+j,2j) = (m-j)C(m+j,2j)",
-    ("j", "m"), _triangle_points(), _check_eq_4_2, n_max=60)
+    _triangle_points(), _check_eq_4_2, n_max=60)
 _mk("LEM-4.2", "lemmas",
     "n(n+1)(n+2)/gcd(2,n) divides (n+k+1)C(n+k,k)C(n+1,k+1)C(2k,k+1)",
-    ("n", "k"), _nk_points, _check_lem_4_2, n_max=100)
+    _nk_points(), _check_lem_4_2, n_max=100)
 _mk("LEM-4.3", "lemmas",
     "n+2 divides 6*C(2n,n)",
-    ("n",), _n_points(lo=0), _check_lem_4_3)
+    _n_points(lo=0), _check_lem_4_3)
 _mk("LEM-4.4.a", "lemmas",
     "w(n,k) = sum_j C(n-j,k-j)*N(n,j)",
-    ("n", "k"), _nk_points, _check_lem_4_4_a, n_max=100)
+    _nk_points(), _check_lem_4_4_a, n_max=100)
 _mk("LEM-4.4.b", "lemmas",
     "N(n,k) = sum_j C(n-j,k-j)(-1)^(k-j)*w(n,j)",
-    ("n", "k"), _nk_points, _check_lem_4_4_b, n_max=100)
+    _nk_points(), _check_lem_4_4_b, n_max=100)
 _mk("LEM-4.5", "lemmas",
     "w_n(x) = s_n(x)",
-    ("n",), _n_points(), _check_lem_4_5, n_max=60)
+    _n_points(), _check_lem_4_5, n_max=60)
 _mk("LEM-4.6", "lemmas",
     "(2x+1)*sum (-1)^(n-k) k(k+1)(2k+1)w_k(x)^2 = n(n+1)(n+2)*w_n(x)*w_{n+1}(x)",
-    ("n",), _n_points(), _check_lem_4_6, n_max=50)
+    _n_points(), _check_lem_4_6, n_max=50)
 _mk("EQ-4.10", "identities",
     "sum_{k=j+1..m} k^(2d)(k-j)C(k+j,2j) = (m^d(m+1)^d/2)((m-j)(m+j+1)/(j+d+1))C(m+j,2j)",
-    ("delta", "j", "m"), _triangle_points(deltas=(0, 1)), _check_eq_4_10, n_max=60)
+    _triangle_points(deltas=(0, 1)), _check_eq_4_10, n_max=60)
 _mk("EQ-4.11", "identities",
     "sum_k k^(2d+1)T_k*T_{k-1}*d^(n-k) = (b/2)(n(n+1))^(d+1)*sum_j ... C(2j,j)/(j+d+1) ...",
-    ("b", "c", "delta", "n"), _grid_points(deltas=(0, 1)), _check_eq_4_11,
-    n_max=100, range_keys=_GRID_KEYS)
+    _grid_points(deltas=(0, 1)), _check_eq_4_11, n_max=100)
 _mk("EQ-4.12", "identities",
     "sum_{k=j..m} (2k+1)C(k+j,2j) = ((m+1)(m+j+1)/(j+1))C(m+j,2j)",
-    ("j", "m"), _triangle_points(strict=False), _check_eq_4_12, n_max=60)
+    _triangle_points(strict=False), _check_eq_4_12, n_max=60)
 _mk("EQ-4.13", "identities",
     "sum k(k+1)(2k+1)s_k(x)^2 = sum (n+k+1)C(n+1,k+1)C(n+k,k)C(2k,k+1)(x(x+1))^(k-1)",
-    ("n",), _n_points(), _check_eq_4_13, n_max=50)
+    _n_points(), _check_eq_4_13, n_max=50)
 _mk("REC-w", "identities",
     "(n+3)*w_{n+2}(x) = (2x+1)(2n+3)*w_{n+1}(x) - n*w_n(x)",
-    ("n",), _n_points(), _check_rec_w, n_max=50,
+    _n_points(), _check_rec_w, n_max=50,
     # the offset is pinned at 0; the notes keep the form reports have always carried
     notes={"index_offset": 0,
            "form": "(n+3)*w[n+2+off] = (2x+1)(2n+3)*w[n+1+off] - n*w[n+off]"})
 
 _mk("REC-W", "identities",
     "(n+3)W_{n+3} = (3n+7)W_{n+2} + (n-5)W_{n+1} - 3(n+1)W_n",
-    ("n",), _n_points(lo=0), _check_rec_W, n_max=1000)
+    _n_points(lo=0), _check_rec_W, n_max=1000)
 _mk("CONJ-5.1.a", "conjectures",
     "sum_{k=0..n-1} (8k+9)W_k^2 = n (mod 2n)",
-    ("n",), _n_points(), _check_conj_5_1_a, deep={"n_max": 2000})
+    _n_points(), _check_conj_5_1_a, deep={"n_max": 2000})
 _mk("CONJ-5.1.b", "conjectures",
     "(1/p)*sum_{k=0..p-1} (8k+9)W_k^2 = 24 + 10(-1/p) - 9(p/3) - 18(3/p) (mod p^2)",
-    ("p",), _points_conj_5_1_b, _check_conj_5_1_b,
-    prime_hi=500, range_keys=_PRIME_KEYS)
+    _points_conj_5_1_b(), _check_conj_5_1_b, prime_hi=500)
 _mk("REM-5.1", "conjectures",
     "sum_{k=0..p-1} W_k^2 = 2 (mod p) for primes p > 3",
-    ("p",), _prime_points, _check_rem_5_1,
-    prime_hi=500, range_keys=_PRIME_KEYS)
+    _prime_points(), _check_rem_5_1, prime_hi=500)
 _mk("CONJ-5.2.abc", "conjectures",
     "gcd-scaled sums of k(k+1)(2k+1)*w_k^(h)(x)^m (plain and alternating) lie in Z[x]",
-    ("part", "h", "m", "n"), _integrality_points("5.4", "5.5", "5.6"), _check_integrality,
-    n_max=40, range_keys=("n_max", "h_max", "m_max"))
+    _integrality_points("5.4", "5.5", "5.6"), _check_integrality, n_max=40)
 _mk("CONJ-5.3.ab", "conjectures",
     "gcd-scaled sums of k(k+1)(2k+1)*S_k^(h)(x)^m (plain and alternating) lie in Z[x]",
-    ("part", "h", "m", "n"), _integrality_points("5.8", "5.9"), _check_integrality,
-    n_max=40, range_keys=("n_max", "h_max", "m_max"),
+    _integrality_points("5.8", "5.9"), _check_integrality, n_max=40,
     notes={"prefactor_5_9": "gcd(2,m-1,n)"})
 
 _mk("MUT-THM-1.1.i", None,
     "mutation fixture: weight (2k+1) perturbed to (2k+2); must yield a counterexample",
-    ("n",), _n_points(), _check_mut_thm_1_1_i, n_max=25)
+    _n_points(), _check_mut_thm_1_1_i, n_max=25)
 _mk("MUT-THM-1.2", None,
     "mutation fixture: weight (8k+9) perturbed to (8k+10); must yield a counterexample",
-    ("n",), _n_points(), _check_mut_thm_1_2, n_max=25)
+    _n_points(), _check_mut_thm_1_2, n_max=25)
 _mk("MUT-ID-1.8", None,
     "mutation fixture: weight (2k+3) perturbed to (2k+4); must yield a counterexample",
-    ("n",), _n_points(), _check_mut_id_1_8, n_max=25)
+    _n_points(), _check_mut_id_1_8, n_max=25)
 _mk("MUT-LEM-2.3", None,
     "mutation fixture: [k+2]_q perturbed to [k+3]_q at a = b = 1; must yield a counterexample",
-    ("n",), _n_points(), _check_mut_lem_2_3, n_max=25)
+    _n_points(), _check_mut_lem_2_3, n_max=25)

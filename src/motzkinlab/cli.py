@@ -8,7 +8,9 @@ sequence, claim, suite, malformed flags or ranges, --jobs below 1, or an
 internal error (an exception raised while checking), reported as one
 "error: internal error: ..." line and its traceback on stderr, never as a
 refutation.  --jobs above the number of usable CPUs is lowered to it;
-reports do not depend on --jobs.
+reports do not depend on --jobs.  --stop-on-first ends the run at the first
+counterexample: no later point of that claim and no later claim is checked,
+for verify with several ids as for suite.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import traceback
 from . import sequences as seq
 from .reports import (InvalidRange, format_report_human, reports_to_csv,
                       reports_to_json)
-from .verify import SUITES, UnknownClaim, UnknownSuite, run_suite, verify_claim
+from .verify import SUITES, UnknownClaim, UnknownSuite, run_claims, suite_claims
 
 _SEQUENCES = {
     "motzkin": (0, seq.motzkin),
@@ -38,9 +40,13 @@ _GENERALIZED = {
 }
 
 
+_SET_MAX = 10 ** 4  # values in one --b-set or --c-set
+
+
 def _int_set(text: str) -> tuple[int, ...]:
-    """Parse '1,2,3' or '-4..4' (or a mix: '-4..-1,1..4') into a tuple."""
-    out: list[int] = []
+    """Parse '1,2,3' or '-4..4' (or a mix: '-4..-1,1..4') into a tuple of at
+    most _SET_MAX values, counted from the bounds before any is built."""
+    bounds = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
@@ -48,12 +54,14 @@ def _int_set(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {token!r}")
-            out.extend(range(lo, hi + 1))
+            bounds.append((lo, hi))
         elif token:
-            out.append(int(token))
-    if not out:
+            bounds.append((int(token), int(token)))
+    if not bounds:
         raise argparse.ArgumentTypeError(f"no integers in {text!r}")
-    return tuple(out)
+    if sum(hi - lo + 1 for lo, hi in bounds) > _SET_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {_SET_MAX} values")
+    return tuple(value for lo, hi in bounds for value in range(lo, hi + 1))
 
 
 def _add_range_flags(p: argparse.ArgumentParser) -> None:
@@ -101,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one or more claims by id")
     p_verify.add_argument("claims", nargs="+", metavar="CLAIM")
+    p_verify.set_defaults(deep=False)
     _add_range_flags(p_verify)
 
     p_suite = sub.add_parser("suite", help="run a named suite of claims")
@@ -156,19 +165,6 @@ def _exit_code(reports) -> int:
     return 1 if any(r.status == "counterexample" for r in reports) else 0
 
 
-def _cmd_verify(args, out) -> int:
-    overrides = _overrides_from(args)
-    reports = [verify_claim(claim_id, overrides or None, stop_on_first=args.stop_on_first,
-                            jobs=args.jobs) for claim_id in args.claims]
-    return _emit(reports, args, out)
-
-
-def _cmd_suite(args, out) -> int:
-    reports = run_suite(args.name, _overrides_from(args) or None, deep=args.deep,
-                        stop_on_first=args.stop_on_first, jobs=args.jobs)
-    return _emit(reports, args, out)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -181,7 +177,6 @@ def main(argv=None) -> int:
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
     args.jobs = min(args.jobs, usable)
-    run = _cmd_verify if args.command == "verify" else _cmd_suite
     out = None
     if args.out is not None:
         try:  # like a shell redirection, --out is opened before any claim runs
@@ -190,7 +185,10 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     try:
-        return run(args, out)
+        claim_ids = args.claims if args.command == "verify" else suite_claims(args.name)
+        reports = run_claims(claim_ids, _overrides_from(args) or None, deep=args.deep,
+                             stop_on_first=args.stop_on_first, jobs=args.jobs)
+        return _emit(reports, args, out)
     except (UnknownClaim, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

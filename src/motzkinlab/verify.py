@@ -1,11 +1,13 @@
 """Claim verification engine: ordered, optionally parallel point evaluation
 with deterministic report assembly, plus the named claim suites.
 
-Parallel execution dispatches contiguous chunks of the ordered point list to
-a process pool and reassembles results in input order, so a report's content
-is identical for any worker count.  ``stop_on_first`` stops the evaluation
-at the first counterexample: each chunk ends at its first one, and chunks
-not yet started when the ordered stream reaches it are cancelled.
+Parallel execution sends contiguous slices of the ordered point list to a
+process pool and reassembles results in input order, so a report's content
+is identical for any worker count.  ``run_claims`` runs any list of claims,
+a suite's included, through at most one pool.  ``stop_on_first`` stops the
+evaluation at the first counterexample: each chunk ends at its first one,
+chunks not yet started when the ordered stream reaches it are cancelled,
+and no later claim runs.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ def _label(claim: Claim, point) -> dict:
         return point
     if not isinstance(point, tuple):
         point = (point,)
-    return dict(zip(claim.param_names, point))
+    return dict(zip(claim.grid.names, point))
 
 
 def _range_echo(rng: ParamRange, keys: tuple[str, ...]) -> dict:
@@ -66,13 +68,12 @@ def _range_echo(rng: ParamRange, keys: tuple[str, ...]) -> dict:
     return out
 
 
-def _eval_chunk(claim_id: str, rng: ParamRange, lo: int, hi: int,
-                stop_on_first: bool = False) -> list:
-    """Evaluate points [lo, hi) of a claim's ordered point list (worker entry),
-    ending after the first counterexample when ``stop_on_first`` is set."""
+def _eval_chunk(claim_id: str, points: list, stop_on_first: bool = False) -> list:
+    """Check the given points of a claim in order (worker entry), ending
+    after the first counterexample when ``stop_on_first`` is set."""
     claim = CLAIMS[claim_id]
     out = []
-    for point in itertools.islice(claim.points(rng), lo, hi):
+    for point in points:
         if isinstance(point, Skip):
             out.append(("skip", point.point, point.reason))
         else:
@@ -91,11 +92,11 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
     rng = effective_range(claim, overrides, deep=deep)
     start = time.perf_counter()
 
-    points = list(claim.points(rng))
+    points = list(claim.grid.points(rng))
     if jobs > 1 and len(points) > 8:
-        results = _run_parallel(claim.id, rng, len(points), jobs, executor, stop_on_first)
+        results = _run_parallel(claim.id, points, jobs, executor, stop_on_first)
     else:
-        results = (res for res in _eval_chunk(claim.id, rng, 0, len(points), stop_on_first))
+        results = (res for res in _eval_chunk(claim.id, points, stop_on_first))
 
     checked = 0
     counterexamples = []
@@ -124,7 +125,7 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
     else:
         status = "skipped"
     params = {
-        "range": _range_echo(rng, claim.range_keys),
+        "range": _range_echo(rng, claim.grid.keys),
         "checked": checked,
         "skipped": skipped,
     }
@@ -135,16 +136,15 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
                               elapsed_ms=elapsed_ms)
 
 
-def _run_parallel(claim_id: str, rng: ParamRange, n_points: int, jobs: int,
+def _run_parallel(claim_id: str, points: list, jobs: int,
                   executor: ProcessPoolExecutor | None, stop_on_first: bool):
-    chunk = max(1, -(-n_points // (jobs * 4)))
-    bounds = [(lo, min(lo + chunk, n_points)) for lo in range(0, n_points, chunk)]
+    chunk = max(1, -(-len(points) // (jobs * 4)))
     own = executor is None
     pool = executor or ProcessPoolExecutor(max_workers=jobs)
     futures = []
     try:
-        futures = [pool.submit(_eval_chunk, claim_id, rng, lo, hi, stop_on_first)
-                   for lo, hi in bounds]
+        futures = [pool.submit(_eval_chunk, claim_id, points[lo:lo + chunk], stop_on_first)
+                   for lo in range(0, len(points), chunk)]
         for fut in futures:
             yield from fut.result()
     finally:
@@ -154,32 +154,39 @@ def _run_parallel(claim_id: str, rng: ParamRange, n_points: int, jobs: int,
             pool.shutdown()
 
 
-def run_suite(suite: str, overrides: dict | None = None,
-              per_claim: dict[str, dict] | None = None, *,
-              deep: bool = False, stop_on_first: bool = False,
-              jobs: int = 1) -> list[VerificationReport]:
-    """Run a named suite; reports come back in suite order.
-
-    With ``stop_on_first``, evaluation stops after the first claim that
-    produces a counterexample (that claim itself also stops early).
-    """
+def suite_claims(suite: str) -> tuple[str, ...]:
     claim_ids = SUITES.get(suite)
     if not claim_ids:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    return claim_ids
+
+
+def run_claims(claim_ids, overrides: dict | None = None, *, deep: bool = False,
+               stop_on_first: bool = False, jobs: int = 1) -> list[VerificationReport]:
+    """Verify claims in the order given, through at most one process pool.
+
+    Every id is resolved before any claim runs.  With ``stop_on_first``,
+    evaluation stops after the first claim that produces a counterexample
+    (that claim itself also stops early).
+    """
+    claims = [get_claim(claim_id) for claim_id in claim_ids]
     executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     reports = []
     try:
-        for claim_id in claim_ids:
-            merged = dict(overrides or {})
-            merged.update((per_claim or {}).get(claim_id, {}))
-            report = verify_claim(claim_id, merged or None, deep=deep,
-                                  stop_on_first=stop_on_first, jobs=jobs,
-                                  executor=executor)
-            reports.append(report)
-            if stop_on_first and report.status == "counterexample":
+        for claim in claims:
+            reports.append(verify_claim(claim.id, overrides, deep=deep,
+                                        stop_on_first=stop_on_first, jobs=jobs,
+                                        executor=executor))
+            if stop_on_first and reports[-1].status == "counterexample":
                 break
     finally:
         if executor is not None:
             executor.shutdown()
     return reports
 
+
+def run_suite(suite: str, overrides: dict | None = None, *, deep: bool = False,
+              stop_on_first: bool = False, jobs: int = 1) -> list[VerificationReport]:
+    """Run a named suite; reports come back in suite order."""
+    return run_claims(suite_claims(suite), overrides, deep=deep,
+                      stop_on_first=stop_on_first, jobs=jobs)

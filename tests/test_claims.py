@@ -19,7 +19,7 @@ from math import comb, factorial, gcd, isqrt, lcm
 import pytest
 
 import motzkinlab
-from motzkinlab import claims, modular, sequences as seq
+from motzkinlab import claims, modular, sequences as seq, verify
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
                                s_quotient, t_quotient)
 from motzkinlab.polynomials import (Poly, ZERO, _folded_q_binomial_rows, q_binomial, q_integer,
@@ -205,12 +205,48 @@ GRID_SMALL = {"n_max": 15, "b_set": (-2, 1, 2, 3), "c_set": (-1, 0, 1, 2)}
 def test_claim_verifies_on_small_range(claim_id):
     overrides = SMALL.get(claim_id)
     if overrides is None:
-        overrides = dict(GRID_SMALL) if "b" in CLAIMS[claim_id].param_names else {"n_max": 15}
-        if "p" in CLAIMS[claim_id].param_names:
+        overrides = dict(GRID_SMALL) if "b" in CLAIMS[claim_id].grid.names else {"n_max": 15}
+        if "p" in CLAIMS[claim_id].grid.names:
             overrides = {"prime_hi": 60}
     report = verify_claim(claim_id, overrides)
     assert report.status == "verified", report.counterexamples[:2]
     assert report.params["checked"] > 0
+
+
+# one changed value per ParamRange field, each of which changes the points of
+# any grid that reads the field
+_PERTURBED = {
+    "n_max": lambda rng: rng.n_max + 1,
+    "prime_lo": lambda rng: 7,
+    "prime_hi": lambda rng: rng.prime_hi + 100,
+    "b_set": lambda rng: (5,),
+    "c_set": lambda rng: (7,),
+    "h_max": lambda rng: rng.h_max + 1,
+    "m_max": lambda rng: rng.m_max + 1,
+    "qexp_a_max": lambda rng: rng.qexp_a_max + 1,
+    "qexp_b_max": lambda rng: rng.qexp_b_max + 1,
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+def test_grid_names_its_coordinates_and_range_fields(claim_id):
+    # a report echoes grid.keys as its range and labels points by grid.names,
+    # so the keys must be the fields the points are built from, and every
+    # point must have one coordinate per name
+    claim = CLAIMS[claim_id]
+    grid, rng = claim.grid, claim.default_range
+    assert set(_PERTURBED) == {f.name for f in dataclasses.fields(ParamRange)}
+    points = list(grid.points(rng))
+    for key, perturb in _PERTURBED.items():
+        changed = list(grid.points(rng.override(**{key: perturb(rng)})))
+        assert (changed != points) == (key in grid.keys), key
+    for point in points:
+        if isinstance(point, claims.Skip):
+            assert set(point.point) <= set(grid.names), point
+        else:
+            values = point if isinstance(point, tuple) else (point,)
+            assert len(values) == len(grid.names), point
+            assert tuple(verify._label(claim, point)) == grid.names
 
 
 class TestPinnedPoints:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, output formats, ordering invariance."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from motzkinlab import claims, cli
+from motzkinlab import claims, cli, verify
 from motzkinlab.cli import main
 from motzkinlab.reports import VerificationReport
 
@@ -76,6 +77,21 @@ class TestVerify:
         assert code == 2
         assert "unknown claim" in err
 
+    def test_unknown_claim_after_a_known_one_exits_2_before_any_check(self, capsys,
+                                                                       monkeypatch):
+        claim = claims.CLAIMS["THM-1.1.i"]
+        calls = []
+
+        def recording(point):
+            calls.append(point)
+            return claim.check(point)
+
+        monkeypatch.setitem(claims.CLAIMS, "THM-1.1.i",
+                            dataclasses.replace(claim, check=recording))
+        code, out, err = run_cli(capsys, "verify", "THM-1.1.i", "NOPE")
+        assert (code, out, calls) == (2, "", [])
+        assert err.splitlines() == ["error: unknown claim id 'NOPE'"]
+
     def test_counterexample_exits_1_with_witness_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "MUT-ID-1.8", "--format", "json")
         assert code == 1
@@ -89,6 +105,31 @@ class TestVerify:
         assert code == 0
         assert [r["claim"] for r in json.loads(out)] == ["LEM-4.3", "ID-2.3"]
 
+    def test_several_claims_share_one_pool(self, capsys, monkeypatch):
+        pools = []
+
+        class CountingPool(verify.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, _ = run_cli(capsys, "verify", "LEM-4.3", "ID-2.3", "--n-max", "10",
+                               "--jobs", "2", "--format", "json")
+        assert code == 0
+        assert [r["claim"] for r in json.loads(out)] == ["LEM-4.3", "ID-2.3"]
+        assert len(pools) == 1
+
+    def test_stop_on_first_ends_a_multi_claim_verify(self, capsys):
+        # like a suite, the run ends with the first claim that has a counterexample
+        code, out, _ = run_cli(capsys, "verify", "MUT-THM-1.1.i", "MUT-THM-1.2",
+                               "--stop-on-first", "--format", "json")
+        assert code == 1
+        reports = json.loads(out)
+        assert [r["claim"] for r in reports] == ["MUT-THM-1.1.i"]
+        assert len(reports[0]["counterexamples"]) == 1
+
     def test_invalid_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "LEM-4.3", "--n-max", "-1")
         assert code == 2
@@ -98,8 +139,7 @@ class TestVerify:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a claim ran")
 
-        monkeypatch.setattr(cli, "verify_claim", must_not_run)
-        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        monkeypatch.setattr(cli, "run_claims", must_not_run)
         for argv in (("verify", "THM-1.1.i", "--jobs", "0"), ("suite", "all", "--jobs", "-3")):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2
@@ -110,16 +150,11 @@ class TestVerify:
         # only the jobs value that reaches the engine is recorded: no pool starts
         seen = []
 
-        def record_verify(claim_id, overrides, *, stop_on_first, jobs):
+        def record_run(claim_ids, overrides, *, deep, stop_on_first, jobs):
             seen.append(jobs)
-            return VerificationReport(claim_id, {}, "verified")
+            return [VerificationReport(claim_id, {}, "verified") for claim_id in claim_ids]
 
-        def record_suite(name, overrides, *, deep, stop_on_first, jobs):
-            seen.append(jobs)
-            return []
-
-        monkeypatch.setattr(cli, "verify_claim", record_verify)
-        monkeypatch.setattr(cli, "run_suite", record_suite)
+        monkeypatch.setattr(cli, "run_claims", record_run)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         for argv in (("verify", "THM-1.1.i", "--jobs", str(10 ** 6)),
                      ("verify", "THM-1.1.i", "--jobs", "2"),
@@ -159,7 +194,7 @@ class TestVerify:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a claim ran before --out was found unwritable")
 
-        monkeypatch.setattr(cli, "verify_claim", must_not_run)
+        monkeypatch.setattr(cli, "run_claims", must_not_run)
         path = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "verify", "MUT-ID-1.8", "--out", str(path))
         assert code == 2
@@ -187,6 +222,19 @@ class TestVerify:
         assert code == 0
         rng = json.loads(out)[0]["params"]["range"]
         assert rng["b_set"] == [1, 2] and rng["c_set"] == [-1, 1]
+
+    def test_oversized_int_set_exits_2(self, capsys):
+        # a set's size is counted from its bounds, so one value over the
+        # bound is refused before the set is built, as is a range of 10**12
+        assert len(cli._int_set("1..10000")) == 10 ** 4
+        for text in ("1..10001", "1..10000,0"):
+            with pytest.raises(argparse.ArgumentTypeError, match="more than 10000 values"):
+                cli._int_set(text)
+        for flag in ("--b-set", "--c-set"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "THM-1.3.a", f"{flag}=1..{10 ** 12}", "--n-max", "3"])
+            assert exc.value.code == 2
+            assert "has more than 10000 values" in capsys.readouterr().err
 
     def test_exponent_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "LEM-2.3", "--n-max", "6",
