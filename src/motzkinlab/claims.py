@@ -18,8 +18,6 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
-# q_binomial is called by no checker (LEM-2.3 folds its own q-Pascal rows), but
-# perfbench/tracer.py wraps claims.q_binomial by name, so the binding stays.
 from .polynomials import (Poly, ZERO, ONE, _fold, _folded_q_binomial_rows, _mul_cyclic,
                           big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 from .reports import ParamRange
@@ -453,39 +451,82 @@ def _check_eq_2_8(point):
     return _ok()
 
 
-def _q29_factors(prefix, bexp: int, key: tuple[int, int]) -> tuple[list, list, list]:
-    """LEM-2.3's point-independent factors at b = bexp, folded mod q^n - 1: for
-    k = 0..n-1, [k+w]_q [2k k] [n+k k]^b, [n+1 k] and [n+k k], with (n, w) = key.
-
-    Entry 0 reads rows m <= max(2n-1, n+1) of the folded q-Pascal triangle;
-    entry b multiplies the first list of entry b - 1 by its last."""
-    n, shift = key
-    if prefix:
-        terms, upper, lower = prefix[-1]
-        return [tuple(_mul_cyclic(t, f, n)) for t, f in zip(terms, lower)], upper, lower
-    base, upper, lower = [], [], []
-    for m, row in enumerate(_folded_q_binomial_rows(n, max(2 * n - 1, n + 1))):
-        if m % 2 == 0 and m // 2 < n:
-            k = m // 2
-            base.append(tuple(_mul_cyclic(_fold(q_integer(k + shift).coeffs, n), row[k], n)))
-        if n <= m < 2 * n:
-            lower.append(row[m - n])
-        if m == n + 1:
-            upper = row
-    return base, upper, lower
+def _cyclotomic_step(prefix: list, d: int, _key) -> Poly:
+    """Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e, by exact division in Z[q]."""
+    divisor = ONE
+    for e in range(1, d):
+        if d % e == 0:
+            divisor = divisor * prefix[e - 1]
+    return Poly((-1,) + (0,) * (d - 1) + (1,)).exact_div(divisor)
 
 
-_Q29 = seq._PrefixCache(_q29_factors)  # keyed (n, w), indexed by b
+_CYCLOTOMIC = seq._PrefixCache(_cyclotomic_step, start=1)  # Phi_d at index d
+
+
+def _lucas_step(_prefix, m: int, d: int) -> tuple:
+    """For n = m*d and k < n, with j, r = divmod(k, d): the integers u, v, t
+    with [n+1 k] = u, [n+k k] = v and [2k k] = t [2r r] mod Phi_d (q-Lucas).
+    u = C(m, j) [1 r] is 0 for r > 1, and t = C(2j, j) is 0 for 2r >= d,
+    where [2k k] = C(2j+1, j) [2r-d r] = 0."""
+    return tuple((comb(m, j) if r <= 1 else 0, comb(m + j, j), comb(2 * j, j) if 2 * r < d else 0)
+                 for j in range(m) for r in range(d))
+
+
+_LUCAS = seq._PrefixCache(_lucas_step, start=1)  # keyed d, indexed m = n/d
+
+
+class CheckerDisagreement(RuntimeError):
+    """Two independent computations of one verdict disagree: a fault in the
+    verifier, which must end the run as an internal error, not a refutation."""
+
+
+def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> Poly:
+    """LEM-2.3's sum mod Phi_d for d | n, d > 1, by q-Lucas.
+
+    Mod Phi_d the k-th term is u^a v^b t [2r r] [k+w]_q (-[3]_q)^(n-1-k),
+    with the scalars of _LUCAS and [k+w]_q = [(k+w) mod d]_q.  The sum is
+    formed by Horner in -[3]_q on a length-d residue mod q^d - 1, where q^i
+    is a rotation, and reduced once by Phi_d."""
+    shapes = {}  # r -> [2r r] [(r+w) mod d]_q mod q^d - 1, for the r that occur
+    acc = [0] * d
+    for k, (u, v, t) in enumerate(_LUCAS.at(n // d, d)):
+        acc = [-(x + y + z) for x, y, z in zip(acc, acc[-1:] + acc[:-1], acc[-2:] + acc[:-2])]
+        c = u ** a * v ** bexp * t
+        if c:
+            r = k % d
+            if r not in shapes:
+                shapes[r] = _mul_cyclic(_fold(q_binomial(2 * r, r).coeffs, d),
+                                        (1,) * ((r + weight_shift) % d), d)
+            acc = [x + c * y for x, y in zip(acc, shapes[r])]
+    return Poly(acc).div_rem(_CYCLOTOMIC.at(d))[1]
+
+
+def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> bool:
+    """Whether [n]_q = prod_{d | n, d > 1} Phi_d divides LEM-2.3's sum."""
+    return not any(_lucas_remainder(n, d, a, bexp, weight_shift)
+                   for d in range(2, n + 1) if n % d == 0)
 
 
 def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
     """sum_{k=0..n-1} [n+1 k]^a [n+k k]^b [2k k] [k+w]_q (-[3]_q)^(n-1-k),
-    folded mod q^n - 1: the n coefficients of its residue.  The powers of
-    -[3]_q come from Horner's rule, acc = acc*(-[3]_q) + term_k."""
+    folded mod q^n - 1: the n coefficients of its residue, for the text of a
+    refuted point.  Rows m <= max(2n-1, n+1) of the folded q-Pascal triangle
+    give [k+w]_q [2k k], [n+1 k] and [n+k k]; the powers of -[3]_q come from
+    Horner's rule, acc = acc*(-[3]_q) + term_k."""
     neg_q3 = -q_integer(3)
-    terms, upper, _ = _Q29.at(bexp, (n, weight_shift))
+    terms, upper, lower = [], (), []
+    for m, row in enumerate(_folded_q_binomial_rows(n, max(2 * n - 1, n + 1))):
+        if m % 2 == 0 and m // 2 < n:
+            k = m // 2
+            terms.append(_mul_cyclic(_fold(q_integer(k + weight_shift).coeffs, n), row[k], n))
+        if n <= m < 2 * n:
+            lower.append(row[m - n])
+        if m == n + 1:
+            upper = row
     acc = [0] * n
-    for term, top in zip(terms, upper):
+    for term, top, bottom in zip(terms, upper, lower):
+        for _ in range(bexp):
+            term = _mul_cyclic(term, bottom, n)
         for _ in range(a):
             term = _mul_cyclic(term, top, n)
         acc = [x + t for x, t in zip(_fold((Poly(acc) * neg_q3).coeffs, n), term)]
@@ -498,12 +539,22 @@ def _mod_q_integer(residue: list[int]) -> Poly:
     return Poly([r - residue[-1] for r in residue[:-1]])
 
 
+def _lem_2_3_point(n: int, a: int, bexp: int, weight_shift: int, label: str):
+    """Decide a point by q-Lucas; a refuted one takes its witness text from
+    the fold mod q^n - 1, which must refute it too."""
+    if _q_divides_2_9(n, a, bexp, weight_shift):
+        return _ok()
+    remainder = _mod_q_integer(_q_sum_2_9(n, a, bexp, weight_shift))
+    if not remainder:
+        raise CheckerDisagreement(
+            f"q-Lucas refutes (n, a, b, w) = {(n, a, bexp, weight_shift)}, "
+            "but the sum folded mod q^n - 1 leaves remainder 0 mod [n]_q")
+    return _fail(f"{label} mod [n]_q = {remainder.render('q')}", "0")
+
+
 def _check_lem_2_3(point):
     a, bexp, n = point
-    remainder = _mod_q_integer(_q_sum_2_9(n, a, bexp))
-    if remainder:
-        return _fail(f"sum mod [n]_q = {remainder.render('q')}", "0")
-    return _ok()
+    return _lem_2_3_point(n, a, bexp, 2, "sum")
 
 
 def _lem_2_4_residue(p: int) -> int:
@@ -890,10 +941,7 @@ def _check_mut_id_1_8(point):
 
 def _check_mut_lem_2_3(point):
     n = point
-    remainder = _mod_q_integer(_q_sum_2_9(n, 1, 1, weight_shift=3))
-    if remainder:
-        return _fail(f"mutated sum mod [n]_q = {remainder.render('q')}", "0")
-    return _ok()
+    return _lem_2_3_point(n, 1, 1, 3, "mutated sum")
 
 
 # ---------------------------------------------------------------------------

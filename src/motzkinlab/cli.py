@@ -45,7 +45,8 @@ _SET_MAX = 10 ** 4  # values in one --b-set or --c-set
 
 def _int_set(text: str) -> tuple[int, ...]:
     """Parse '1,2,3' or '-4..4' (or a mix: '-4..-1,1..4') into a tuple of at
-    most _SET_MAX values, counted from the bounds before any is built."""
+    most _SET_MAX values, counted from the bounds before any is built; a
+    repeated value is kept once, where it first occurs."""
     bounds = []
     for token in text.split(","):
         token = token.strip()
@@ -61,7 +62,7 @@ def _int_set(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"no integers in {text!r}")
     if sum(hi - lo + 1 for lo, hi in bounds) > _SET_MAX:
         raise argparse.ArgumentTypeError(f"{text!r} has more than {_SET_MAX} values")
-    return tuple(value for lo, hi in bounds for value in range(lo, hi + 1))
+    return tuple(dict.fromkeys(value for lo, hi in bounds for value in range(lo, hi + 1)))
 
 
 def _add_range_flags(p: argparse.ArgumentParser) -> None:

@@ -165,11 +165,12 @@ def run_claims(claim_ids, overrides: dict | None = None, *, deep: bool = False,
                stop_on_first: bool = False, jobs: int = 1) -> list[VerificationReport]:
     """Verify claims in the order given, through at most one process pool.
 
-    Every id is resolved before any claim runs.  With ``stop_on_first``,
-    evaluation stops after the first claim that produces a counterexample
-    (that claim itself also stops early).
+    Every id is resolved before any claim runs, and a repeated id runs once,
+    where it first occurs.  With ``stop_on_first``, evaluation stops after
+    the first claim that produces a counterexample (that claim itself also
+    stops early).
     """
-    claims = [get_claim(claim_id) for claim_id in claim_ids]
+    claims = [get_claim(claim_id) for claim_id in dict.fromkeys(claim_ids)]
     executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     reports = []
     try:

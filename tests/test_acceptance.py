@@ -107,6 +107,11 @@ def test_q_divisibility_to_40():
     criterion("LEM-2.3 divisibility by [n]_q for n <= 40, exponents <= 2", ok, detail)
 
 
+def test_q_divisibility_to_80():
+    ok, detail = claim_ok("LEM-2.3", {"n_max": 80, "qexp_a_max": 2, "qexp_b_max": 2})
+    criterion("LEM-2.3 divisibility by [n]_q for n <= 80, exponents <= 2", ok, detail)
+
+
 def test_lem_2_4_congruence_to_1000():
     lhs_p5 = (2 * pow(3, -1, 5) + 6 * pow(18, -1, 5)) % 5
     rhs_p5 = (pow(3, 4) - 1) // 5 % 5

@@ -20,8 +20,8 @@ import pytest
 
 import motzkinlab
 from motzkinlab import claims, modular, sequences as seq, verify
-from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_sum_2_9,
-                               s_quotient, t_quotient)
+from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_divides_2_9,
+                               _q_sum_2_9, s_quotient, t_quotient)
 from motzkinlab.polynomials import (Poly, ZERO, _folded_q_binomial_rows, q_binomial, q_integer,
                                     s_poly, w_poly)
 from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
@@ -349,6 +349,55 @@ class TestPinnedPoints:
                 for k, residue in enumerate(row):
                     c = q_binomial(m, k).coeffs
                     assert list(residue) == [sum(c[i::n]) for i in range(n)], (n, m, k)
+
+    def test_lucas_verdict_matches_fold(self):
+        # q-Lucas at the divisors of n decides every point as the fold mod
+        # q^n - 1 does, a = 0 (where the lemma is false) and the mutated
+        # weight [k+3]_q included; Phi_d divides q^n - 1, so each remainder
+        # mod Phi_d must also equal the folded residue's
+        refuted = nonzero = 0
+        for n in range(1, 31):
+            for a in range(3):
+                for bexp in range(3):
+                    for shift in (2, 3):
+                        residue = _q_sum_2_9(n, a, bexp, shift)
+                        fold = not _mod_q_integer(residue)
+                        assert _q_divides_2_9(n, a, bexp, shift) == fold, (n, a, bexp, shift)
+                        refuted += not fold
+                        for d in range(2, n + 1):
+                            if n % d == 0:
+                                expected = Poly(residue).div_rem(claims._CYCLOTOMIC.at(d))[1]
+                                assert claims._lucas_remainder(n, d, a, bexp, shift) == expected
+                                nonzero += not expected.is_zero
+        assert (refuted, nonzero) == (330, 786)
+
+    def test_cyclotomic_polynomials(self):
+        # Phi_d from the cache against its degree phi(d), the factorization
+        # q^n - 1 = prod_{d | n} Phi_d and the Moebius product at three points
+        def mobius(m: int) -> int:
+            out, p = 1, 2
+            while p * p <= m:
+                if m % p == 0:
+                    m //= p
+                    if m % p == 0:
+                        return 0
+                    out = -out
+                p += 1
+            return -out if m > 1 else out
+
+        cyclotomic = claims._CYCLOTOMIC
+        for n in range(1, 41):
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            assert cyclotomic.at(n).degree == sum(gcd(i, n) == 1 for i in range(1, n + 1))
+            product = Poly((1,))
+            for d in divisors:
+                product = product * cyclotomic.at(d)
+            assert product == Poly((-1,) + (0,) * (n - 1) + (1,)), n
+            for q0 in (2, 3, -2):
+                value = Fraction(1)
+                for e in divisors:
+                    value *= Fraction(q0 ** e - 1) ** mobius(n // e)
+                assert cyclotomic.at(n)(q0) == value, (n, q0)
 
     def test_lem_2_1_a_at_n_1(self):
         report = verify_claim("LEM-2.1.a", {"n_max": 1})
@@ -704,49 +753,58 @@ def test_perturbed_row_coefficient_is_caught_and_reset_clears_it(row, key, bump,
     assert statuses() == dict.fromkeys(perturbed, "verified")
 
 
-def _bump_k1(residues) -> list:
-    """The per-k residues with coefficient 3 of the k = 1 residue plus 1."""
-    out = list(residues)
-    out[1] = _bump3(out[1])
-    return out
+def _bump_phi_3() -> None:
+    """Constant coefficient of Phi_3 plus 1; later entries stay as filled."""
+    cache = claims._CYCLOTOMIC
+    cache.prefix(14)
+    coeffs = cache.at(3).coeffs
+    cache._data[()][3 - cache._start] = Poly((coeffs[0] + 1,) + coeffs[1:])
 
 
-@pytest.mark.parametrize("b, part", [(0, 0), (0, 1), (0, 2), (1, 0)],
-                         ids=["[k+w][2k k]", "[n+1 k]", "[n+k k]", "b-chain"])
-def test_perturbed_q_factor_is_caught_and_reset_clears_it(b, part):
-    """Coefficient 3 of the k = 1 residue of one list in LEM-2.3's cached
-    entry at (n, w) = (7, 2), plus 1, must refute the claim; after the one
-    reset it verifies again."""
-    small = {"n_max": 8, "qexp_a_max": 2, "qexp_b_max": 2}
-    cache, key = claims._Q29, (7, 2)
+def _bump_lucas_scalar() -> None:
+    """u of [15 1] mod Phi_7 (n = 14, k = 1) plus 1."""
+    cache, d, m = claims._LUCAS, 7, 2
+    row = list(cache.at(m, d))
+    row[1] = (row[1][0] + 1,) + row[1][1:]
+    cache._data[d][m - cache._start] = tuple(row)
+
+
+@pytest.mark.parametrize("bump", [_bump_phi_3, _bump_lucas_scalar], ids=["Phi_d", "Lucas-scalar"])
+def test_perturbed_q_factor_is_caught_and_reset_clears_it(bump):
+    """One wrong coefficient of a cached Phi_d or one wrong q-Lucas scalar
+    must stop LEM-2.3 from verifying: q-Lucas refutes a point that the fold
+    mod q^n - 1 does not, which is an internal error.  After the one reset
+    the claim verifies again."""
+    small = {"n_max": 14, "qexp_a_max": 2, "qexp_b_max": 2}
     seq._reset_caches()
     try:
-        entry = cache.at(b, key)
-        cache._data[key][b] = tuple(_bump_k1(f) if j == part else f
-                                    for j, f in enumerate(entry))
-        assert verify_claim("LEM-2.3", small).status == "counterexample"
+        bump()
+        with pytest.raises(claims.CheckerDisagreement):
+            verify_claim("LEM-2.3", small)
     finally:
         seq._reset_caches()
     assert verify_claim("LEM-2.3", small).status == "verified"
 
 
 def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
-    # threads that fill the one q-factor cache in opposite n orders, for
-    # both weights, must all finish with the serial residues
-    points = [(n, a, bexp, shift) for n in range(1, 11) for a in (1, 2)
+    # threads that fill the Phi_d cache in opposite d orders, through the
+    # q-Lucas verdicts of both weights, must all finish with the serial
+    # verdicts and the serial Phi_d
+    points = [(n, a, bexp, shift) for n in range(1, 31) for a in (0, 1, 2)
               for bexp in (0, 1, 2) for shift in (2, 3)]
     seq._reset_caches()
-    expected = [_q_sum_2_9(*pt) for pt in points]
+    expected = [_q_divides_2_9(*pt) for pt in points]
+    phis = claims._CYCLOTOMIC.prefix(30)
     n_threads, got, errors = 6, [], []
 
     def work(start: threading.Barrier, order: int) -> None:
         try:
             start.wait()
             if order % 3 == 2:
-                for n in range(10, 0, -1):
-                    claims._Q29.at(2, (n, 3))
+                for d in range(30, 0, -1):
+                    claims._CYCLOTOMIC.at(d)
             pts = points if order % 2 else points[::-1]
-            out = {pt: _q_sum_2_9(*pt) for pt in pts}
+            out = {pt: _q_divides_2_9(*pt) for pt in pts}
             got.append([out[pt] for pt in points])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -763,6 +821,7 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
+            assert claims._CYCLOTOMIC.prefix(30) == phis
     finally:
         sys.setswitchinterval(interval)
     assert errors == []

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from motzkinlab import claims, cli, verify
+from motzkinlab import claims, cli, sequences as seq, verify
 from motzkinlab.cli import main
 from motzkinlab.reports import VerificationReport
 
@@ -215,6 +215,22 @@ class TestVerify:
         assert err.splitlines()[0] == "error: internal error: ZeroDivisionError: boom at 0"
         assert "Traceback (most recent call last):" in err
 
+    def test_lucas_fold_disagreement_exits_3(self, capsys):
+        # a wrong q-Lucas scalar refutes LEM-2.3 at n = 14 where the fold
+        # mod q^14 - 1 does not: an internal error, never a counterexample
+        seq._reset_caches()
+        try:
+            row = list(claims._LUCAS.at(2, 7))
+            row[1] = (row[1][0] + 1,) + row[1][1:]
+            claims._LUCAS._data[7][1] = tuple(row)
+            code, out, err = run_cli(capsys, "verify", "LEM-2.3", "--n-max", "14")
+        finally:
+            seq._reset_caches()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal error: CheckerDisagreement: q-Lucas refutes "
+                              "(n, a, b, w) = (14, 1, 0, 2)")
+
     def test_grid_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "THM-1.3.a", "--n-max", "6",
                                "--b-set", "1..2", "--c-set=-1,1",
@@ -235,6 +251,21 @@ class TestVerify:
                 main(["verify", "THM-1.3.a", f"{flag}=1..{10 ** 12}", "--n-max", "3"])
             assert exc.value.code == 2
             assert "has more than 10000 values" in capsys.readouterr().err
+
+    def test_repeated_set_values_are_checked_once(self, capsys):
+        assert cli._int_set("3,1..3,2,-1") == (3, 1, 2, -1)
+        code, out, _ = run_cli(capsys, "verify", "THM-1.3.a", "--b-set", "1,1", "--c-set", "1",
+                               "--n-max", "3", "--format", "json")
+        assert code == 0
+        report = json.loads(out)[0]
+        assert report["params"]["range"]["b_set"] == [1]
+        assert report["params"]["checked"] == 3
+
+    def test_repeated_claim_id_runs_once(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "LEM-4.3", "ID-2.3", "LEM-4.3",
+                               "--n-max", "10", "--format", "json")
+        assert code == 0
+        assert [r["claim"] for r in json.loads(out)] == ["LEM-4.3", "ID-2.3"]
 
     def test_exponent_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "LEM-2.3", "--n-max", "6",
