@@ -761,15 +761,23 @@ def _bump_phi_3() -> None:
     cache._data[()][3 - cache._start] = Poly((coeffs[0] + 1,) + coeffs[1:])
 
 
-def _bump_lucas_scalar() -> None:
-    """u of [15 1] mod Phi_7 (n = 14, k = 1) plus 1."""
+def _bump_lucas_scalar(slot: int) -> None:
+    """Scalar `slot` (0: u of [15 1], 1: v of [15 1], 2: t of [2 1]) of the
+    q-Lucas row mod Phi_7 at n = 14, k = 1, plus 1."""
     cache, d, m = claims._LUCAS, 7, 2
     row = list(cache.at(m, d))
-    row[1] = (row[1][0] + 1,) + row[1][1:]
+    scalars = list(row[1])
+    scalars[slot] += 1
+    row[1] = tuple(scalars)
     cache._data[d][m - cache._start] = tuple(row)
 
 
-@pytest.mark.parametrize("bump", [_bump_phi_3, _bump_lucas_scalar], ids=["Phi_d", "Lucas-scalar"])
+@pytest.mark.parametrize("bump", [
+    _bump_phi_3,
+    lambda: _bump_lucas_scalar(0),
+    lambda: _bump_lucas_scalar(1),
+    lambda: _bump_lucas_scalar(2),
+], ids=["Phi_d", "[n+1 k]", "[n+k k]", "[k+w][2k k]"])
 def test_perturbed_q_factor_is_caught_and_reset_clears_it(bump):
     """One wrong coefficient of a cached Phi_d or one wrong q-Lucas scalar
     must stop LEM-2.3 from verifying: q-Lucas refutes a point that the fold
