@@ -18,8 +18,8 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
-from .polynomials import (Poly, ZERO, ONE, _fold, _folded_q_binomial_rows, _mul_cyclic,
-                          big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
+from .polynomials import (Poly, ZERO, ONE, _fold, _Packed, big_schroder_poly, q_binomial,
+                          q_integer, s_poly, w_poly)
 from .reports import ParamRange
 
 
@@ -495,10 +495,21 @@ def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> Po
         if c:
             r = k % d
             if r not in shapes:
-                shapes[r] = _mul_cyclic(_fold(q_binomial(2 * r, r).coeffs, d),
-                                        (1,) * ((r + weight_shift) % d), d)
+                shapes[r] = _times_q_integer(_fold(q_binomial(2 * r, r).coeffs, d),
+                                             (r + weight_shift) % d)
             acc = [x + c * y for x, y in zip(acc, shapes[r])]
     return Poly(acc).div_rem(_CYCLOTOMIC.at(d))[1]
+
+
+def _times_q_integer(f: list, s: int) -> list:
+    """f [s]_q mod q^d - 1 for a length-d residue f and 0 <= s < d: entry i
+    is the cyclic window sum f[i] + f[i-1] + ... + f[i-s+1]."""
+    window = sum(f[i] for i in range(1 - s, 1))
+    out = [window]
+    for i in range(1, len(f)):
+        window += f[i] - f[i - s]
+        out.append(window)
+    return out
 
 
 def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> bool:
@@ -510,27 +521,54 @@ def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> bool:
 def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
     """sum_{k=0..n-1} [n+1 k]^a [n+k k]^b [2k k] [k+w]_q (-[3]_q)^(n-1-k),
     folded mod q^n - 1: the n coefficients of its residue, for the text of a
-    refuted point.  Rows m <= max(2n-1, n+1) of the folded q-Pascal triangle
-    give [k+w]_q [2k k], [n+1 k] and [n+k k]; the powers of -[3]_q come from
-    Horner's rule, acc = acc*(-[3]_q) + term_k."""
-    neg_q3 = -q_integer(3)
-    terms, upper, lower = [], (), []
-    for m, row in enumerate(_folded_q_binomial_rows(n, max(2 * n - 1, n + 1))):
+    refuted point.
+
+    Each term_k is formed packed (see _Packed), from the q-Pascal rows of
+    _packed_q_pascal_rows.  Every factor has nonnegative coefficients, so
+    the value at q = 1 of anything formed is at most U, the larger of
+    C(2n-1, n-1) (every row entry) and the largest term at q = 1.  The powers
+    of -[3]_q are signed and come from Horner's rule on the read-back
+    terms, acc = acc*(-[3]_q) + term_k."""
+    w = weight_shift
+    bound = max([comb(2 * n - 1, n - 1)]
+                + [comb(2 * k, k) * (k + w) * comb(n + 1, k) ** a * comb(n + k, k) ** bexp
+                   for k in range(n)])
+    ring = _Packed(n, bound)
+    terms, upper, lower = [], None, []
+    for m, row in enumerate(_packed_q_pascal_rows(ring, max(2 * n - 1, n + 1))):
         if m % 2 == 0 and m // 2 < n:
             k = m // 2
-            terms.append(_mul_cyclic(_fold(q_integer(k + weight_shift).coeffs, n), row[k], n))
+            terms.append(ring.mul(ring.q_integer(k + w), row[k]))
         if n <= m < 2 * n:
             lower.append(row[m - n])
         if m == n + 1:
             upper = row
+    neg_q3 = -q_integer(3)
     acc = [0] * n
-    for term, top, bottom in zip(terms, upper, lower):
+    for k, (term, bottom) in enumerate(zip(terms, lower)):
         for _ in range(bexp):
-            term = _mul_cyclic(term, bottom, n)
+            term = ring.mul(term, bottom)
         for _ in range(a):
-            term = _mul_cyclic(term, top, n)
-        acc = [x + t for x, t in zip(_fold((Poly(acc) * neg_q3).coeffs, n), term)]
+            term = ring.mul(term, upper[k])
+        acc = [x + t for x, t in zip(_fold((Poly(acc) * neg_q3).coeffs, n), ring.coeffs(term))]
     return acc
+
+
+def _packed_q_pascal_rows(ring: _Packed, m_max: int):
+    """Rows m = 0..m_max of the q-Pascal triangle mod q^n - 1, packed: row m
+    maps k to [m k]_q for k = 0 and for max(1, m-n) <= k <= min(m, n-1).
+
+    Built by [m k] = [m-1 k-1] + q^k [m-1 k], where q^k is a rotation.  The
+    cone k >= m - n holds every entry that [n+k k] (k < n) is built from."""
+    n = ring.n
+    row = {0: 1}
+    yield row
+    for m in range(1, m_max + 1):
+        nxt = {0: 1}
+        for k in range(max(1, m - n), min(m, n - 1) + 1):
+            nxt[k] = row[k - 1] + ring.rotate(row[k], k) if k < m else 1  # [m m] = 1
+        row = nxt
+        yield row
 
 
 def _mod_q_integer(residue: list[int]) -> Poly:

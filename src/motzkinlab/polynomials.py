@@ -10,7 +10,6 @@ division in Z[x]: a leading coefficient that does not divide raises
 from __future__ import annotations
 
 import math
-import operator
 
 from . import sequences
 
@@ -45,30 +44,49 @@ def _fold(coeffs, n: int) -> list:
     return [sum(coeffs[i::n]) for i in range(n)]
 
 
-def _mul_cyclic(a, b, n: int) -> list:
-    """Product of two residues mod q^n - 1, as a length-n residue."""
-    return _fold(_mul_coeffs(a, b), n)
+class _Packed:
+    """Residues mod q^n - 1 with nonnegative coefficients, each packed into one
+    int by evaluation at q = 2^B: coefficient i sits in bits [iB, (i+1)B).
 
+    Z[q]/(q^n - 1) then becomes the integers mod 2^(nB) - 1 (Kronecker
+    substitution with a cyclic wrap, Schoenhage 1982): q^k is a rotation by
+    kB bits, and a product is one int product plus one fold.  This is exact
+    when no digit carries.  The caller gives a bound U on the value at q = 1
+    of every residue it forms, sums and products included.  A coefficient
+    is nonnegative, so it is at most that value, and with B =
+    U.bit_length() + 1 every digit is below 2^(B-1).  The digits of a
+    product x*y are coefficients of the unfolded product, so each is at
+    most U; the fold (p & mask) + (p >> nB) adds two such digits, which
+    stay below 2^B.  So no digit carries, one fold is exact, and every
+    residue is below 2^(nB - 1), never the 2^(nB) - 1 that would also
+    stand for 0."""
 
-def _folded_q_binomial_rows(n: int, m_max: int):
-    """Rows m = 0..m_max of the q-Pascal triangle mod q^n - 1: row m holds the
-    length-n residues of [m k]_q for k = 0..min(m, n-1), as tuples.
+    __slots__ = ("n", "width", "bits", "mask")
 
-    Built by [m k] = [m-1 k-1] + q^k [m-1 k]; on a length-n residue, q^k is
-    a rotation by k, so no full-degree row is ever formed."""
-    one = (1,) + (0,) * (n - 1)
-    row = [one]
-    yield row
-    for m in range(1, m_max + 1):
-        nxt = [one]
-        for k in range(1, min(m, n - 1) + 1):
-            if k < m:
-                r = row[k]
-                nxt.append(tuple(map(operator.add, row[k - 1], r[-k:] + r[:-k])))
-            else:
-                nxt.append(one)  # [m m] = 1
-        row = nxt
-        yield row
+    def __init__(self, n: int, bound: int):
+        self.n = n
+        self.width = bound.bit_length() + 1
+        self.bits = n * self.width
+        self.mask = (1 << self.bits) - 1
+
+    def q_integer(self, j: int) -> int:
+        """[j]_q = 1 + q + ... + q^(j-1): every digit j // n, plus 1 in the first j % n."""
+        ones = self.mask // ((1 << self.width) - 1)  # coefficient 1 at every q^i
+        return j // self.n * ones + (ones & ((1 << j % self.n * self.width) - 1))
+
+    def rotate(self, x: int, k: int) -> int:
+        """q^k x."""
+        s = k % self.n * self.width
+        return ((x << s) & self.mask) | (x >> (self.bits - s))
+
+    def mul(self, x: int, y: int) -> int:
+        p = x * y
+        return (p & self.mask) + (p >> self.bits)
+
+    def coeffs(self, x: int) -> list[int]:
+        """The n coefficients of x, lowest degree first."""
+        digit = (1 << self.width) - 1
+        return [(x >> (i * self.width)) & digit for i in range(self.n)]
 
 
 class Poly:

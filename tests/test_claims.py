@@ -22,8 +22,8 @@ import motzkinlab
 from motzkinlab import claims, modular, sequences as seq, verify
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_divides_2_9,
                                _q_sum_2_9, s_quotient, t_quotient)
-from motzkinlab.polynomials import (Poly, ZERO, _folded_q_binomial_rows, q_binomial, q_integer,
-                                    s_poly, w_poly)
+from motzkinlab.polynomials import (Poly, ZERO, _fold, _mul_coeffs, _Packed, q_binomial,
+                                    q_integer, s_poly, w_poly)
 from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
@@ -249,6 +249,57 @@ def test_grid_names_its_coordinates_and_range_fields(claim_id):
             assert tuple(verify._label(claim, point)) == grid.names
 
 
+def _tuple_fold_rows(n: int, m_max: int):
+    """Rows m = 0..m_max of the q-Pascal triangle mod q^n - 1: row m holds the
+    length-n residues of [m k]_q for k = 0..min(m, n-1), as tuples, by
+    [m k] = [m-1 k-1] + q^k [m-1 k] with q^k a rotation."""
+    one = (1,) + (0,) * (n - 1)
+    row = [one]
+    yield row
+    for m in range(1, m_max + 1):
+        nxt = [one]
+        for k in range(1, min(m, n - 1) + 1):
+            if k < m:
+                r = row[k]
+                nxt.append(tuple(x + y for x, y in zip(row[k - 1], r[-k:] + r[:-k])))
+            else:
+                nxt.append(one)  # [m m] = 1
+        row = nxt
+        yield row
+
+
+def _mul_cyclic(a, b, n: int) -> list:
+    """Product of two residues mod q^n - 1, as a length-n residue."""
+    return _fold(_mul_coeffs(a, b), n)
+
+
+def _tuple_fold_q_sums_2_9(n: int) -> dict:
+    """LEM-2.3's sum folded mod q^n - 1 on length-n coefficient lists, as
+    _q_sum_2_9 computed it before its terms were packed: {(a, b, w): residue}
+    for a, b in 0..2 and w in (2, 3).  The products of term_k are shared
+    across the points, a and b growing one factor at a time."""
+    rows = list(_tuple_fold_rows(n, max(2 * n - 1, n + 1)))
+    upper = rows[n + 1]
+    lower = [rows[n + k][k] for k in range(n)]
+    neg_q3 = -q_integer(3)
+    out = {}
+    for w in (2, 3):
+        by_b = [_mul_cyclic(_fold(q_integer(k + w).coeffs, n), rows[2 * k][k], n)
+                for k in range(n)]
+        for bexp in range(3):
+            if bexp:
+                by_b = [_mul_cyclic(t, lower[k], n) for k, t in enumerate(by_b)]
+            terms = by_b
+            for a in range(3):
+                if a:
+                    terms = [_mul_cyclic(t, upper[k], n) for k, t in enumerate(terms)]
+                acc = [0] * n
+                for term in terms:
+                    acc = [x + t for x, t in zip(_fold((Poly(acc) * neg_q3).coeffs, n), term)]
+                out[a, bexp, w] = acc
+    return out
+
+
 class TestPinnedPoints:
     def test_id_1_8_at_n_1(self):
         # both sides equal 6: 1*2*3*M_0^2*3^0 and 1*2*3*M_1*M_0
@@ -339,16 +390,45 @@ class TestPinnedPoints:
         assert nonzero == 114
 
     def test_folded_q_pascal_rows_match_q_binomial(self):
-        # every entry k <= min(m, n-1) of rows m <= 2n+1, against the full-degree
-        # [m k]_q folded here; n = 1 folds everything onto one entry
+        # every entry of the packed rows m <= 2n+1 (k = 0 and the cone
+        # max(1, m-n) <= k <= min(m, n-1)), against the full-degree [m k]_q
+        # folded here; n = 1 folds everything onto one entry
         for n in range(1, 13):
-            rows = list(_folded_q_binomial_rows(n, 2 * n + 1))
+            ring = _Packed(n, comb(2 * n + 1, n))
+            rows = list(claims._packed_q_pascal_rows(ring, 2 * n + 1))
             assert len(rows) == 2 * n + 2
             for m, row in enumerate(rows):
-                assert len(row) == min(m, n - 1) + 1, (n, m)
-                for k, residue in enumerate(row):
+                assert list(row) == [0, *range(max(1, m - n), min(m, n - 1) + 1)], (n, m)
+                for k, residue in row.items():
                     c = q_binomial(m, k).coeffs
-                    assert list(residue) == [sum(c[i::n]) for i in range(n)], (n, m, k)
+                    assert ring.coeffs(residue) == [sum(c[i::n]) for i in range(n)], (n, m, k)
+
+    def test_packed_sum_matches_the_tuple_fold(self):
+        # every point n <= 40, a = 0 (where the lemma is false) and the
+        # mutated weight [k+3]_q included
+        points = 0
+        for n in range(1, 41):
+            for key, residue in _tuple_fold_q_sums_2_9(n).items():
+                assert _q_sum_2_9(n, *key) == residue, (n, key)
+                points += 1
+        assert points == 720
+
+    def test_packed_read_back_at_the_bound(self):
+        # a coefficient equal to the bound U, alone at q^i: formed by rotation
+        # and as the product c q^(i-j) * (U/c) q^j, which needs the fold's
+        # high half when (i - j) mod n + j >= n.  The packed int must also be
+        # the least residue mod 2^(nB) - 1, so reducing it reads back the same.
+        for bound in (1, 3, 6, 7, 8, 2 ** 64 - 1, 2 ** 64, 3 ** 41):
+            c = next(c for c in (3, 2, 1) if bound % c == 0)
+            for n in range(1, 7):
+                ring = _Packed(n, bound)
+                for i in range(n):
+                    expected = [0] * n
+                    expected[i] = bound
+                    for j in range(n):
+                        x = ring.mul(ring.rotate(c, i - j), ring.rotate(bound // c, j))
+                        assert x == ring.rotate(bound, i), (bound, n, i, j)
+                        assert ring.coeffs(x) == ring.coeffs(x % ring.mask) == expected
 
     def test_lucas_verdict_matches_fold(self):
         # q-Lucas at the divisors of n decides every point as the fold mod
