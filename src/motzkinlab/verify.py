@@ -1,13 +1,15 @@
 """Claim verification engine: ordered, optionally parallel point evaluation
 with deterministic report assembly, plus the named claim suites.
 
-Parallel execution sends contiguous slices of the ordered point list to a
-process pool and reassembles results in input order, so a report's content
-is identical for any worker count.  ``run_claims`` runs any list of claims,
-a suite's included, through at most one pool.  ``stop_on_first`` stops the
-evaluation at the first counterexample: each chunk ends at its first one,
-chunks not yet started when the ordered stream reaches it are cancelled,
-and no later claim runs.
+A chunk of consecutive points is checked by ``_eval_chunk``, which returns
+its part of the report: the checked count, the skips, the table rows and
+the counterexamples.  A serial run is one part; a parallel one sends
+contiguous slices to a process pool and joins their parts in input order,
+so a report's content is identical for any worker count.  ``run_claims``
+runs any list of claims, a suite's included, and owns the only pool.
+``stop_on_first`` stops the evaluation at the first counterexample: each
+chunk ends at its first one, the join ends with the first part that has
+one, chunks not yet started are cancelled, and no later claim runs.
 """
 from __future__ import annotations
 
@@ -53,8 +55,6 @@ def effective_range(claim: Claim, overrides: dict | None = None, *,
 
 
 def _label(claim: Claim, point) -> dict:
-    if isinstance(point, dict):
-        return point
     if not isinstance(point, tuple):
         point = (point,)
     return dict(zip(claim.grid.names, point))
@@ -68,54 +68,68 @@ def _range_echo(rng: ParamRange, keys: tuple[str, ...]) -> dict:
     return out
 
 
-def _eval_chunk(claim_id: str, points: list, stop_on_first: bool = False) -> list:
-    """Check the given points of a claim in order (worker entry), ending
-    after the first counterexample when ``stop_on_first`` is set."""
+def _eval_chunk(claim_id: str, points: list, stop_on_first: bool = False) -> tuple:
+    """Check the given points of a claim in order (worker entry) and return
+    their part of the report: ``(checked, skipped, table, counterexamples)``,
+    the table cut at ``_TABLE_CAP``.  With ``stop_on_first`` the part ends
+    at its first counterexample."""
     claim = CLAIMS[claim_id]
-    out = []
+    checked, skipped, table, counterexamples = 0, [], [], []
     for point in points:
         if isinstance(point, Skip):
-            out.append(("skip", point.point, point.reason))
+            skipped.append([point.point, point.reason])
+            continue
+        result = claim.check(point)
+        checked += 1
+        if result[0] == "ok":
+            if result[1] is not None and len(table) < _TABLE_CAP:
+                table.append([_label(claim, point), result[1]])
         else:
-            kind, *rest = claim.check(point)
-            out.append((kind, point, *rest))
-            if stop_on_first and kind == "fail":
+            counterexamples.append({"params": _label(claim, point),
+                                    "lhs": result[1], "rhs": result[2]})
+            if stop_on_first:
                 break
-    return out
+    return checked, skipped, table, counterexamples
+
+
+def _join(parts, stop_on_first: bool) -> tuple:
+    """Join the parts of consecutive slices of the points, in order, into
+    one; with ``stop_on_first``, after the first part with a counterexample."""
+    checked, skipped, table, counterexamples = 0, [], [], []
+    for part in parts:
+        checked += part[0]
+        skipped += part[1]
+        table += part[2]
+        counterexamples += part[3]
+        if stop_on_first and counterexamples:
+            break
+    return checked, skipped, table[:_TABLE_CAP], counterexamples
 
 
 def verify_claim(claim_id: str, overrides: dict | None = None, *,
                  deep: bool = False, stop_on_first: bool = False, jobs: int = 1,
                  executor: ProcessPoolExecutor | None = None) -> VerificationReport:
-    """Evaluate one claim over its (possibly overridden) parameter range."""
+    """Evaluate one claim over its (possibly overridden) parameter range.
+
+    With ``jobs > 1`` a claim of more than 8 points is checked in ``4·jobs``
+    chunks on ``executor``; without one, ``run_claims`` starts the pool.
+    """
+    if jobs > 1 and executor is None:
+        return run_claims([claim_id], overrides, deep=deep, stop_on_first=stop_on_first,
+                          jobs=jobs)[0]
     claim = get_claim(claim_id)
     rng = effective_range(claim, overrides, deep=deep)
     start = time.perf_counter()
 
     points = list(claim.grid.points(rng))
     if jobs > 1 and len(points) > 8:
-        results = _run_parallel(claim.id, points, jobs, executor, stop_on_first)
+        size = -(-len(points) // (jobs * 4))
+        futures = [executor.submit(_eval_chunk, claim.id, points[lo:lo + size], stop_on_first)
+                   for lo in range(0, len(points), size)]
+        parts = (future.result() for future in futures)
     else:
-        results = (res for res in _eval_chunk(claim.id, points, stop_on_first))
-
-    checked = 0
-    counterexamples = []
-    skipped = []
-    table = []
-    for res in results:
-        if res[0] == "skip":
-            skipped.append([_label(claim, res[1]), res[2]])
-            continue
-        checked += 1
-        if res[0] == "ok":
-            if res[2] is not None and len(table) < _TABLE_CAP:
-                table.append([_label(claim, res[1]), res[2]])
-        else:
-            counterexamples.append({"params": _label(claim, res[1]),
-                                    "lhs": res[2], "rhs": res[3]})
-            if stop_on_first:
-                break
-    results.close()  # both are generators; closing _run_parallel's cancels unstarted chunks
+        parts = [_eval_chunk(claim.id, points, stop_on_first)]
+    checked, skipped, table, counterexamples = _join(parts, stop_on_first)
 
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if counterexamples:
@@ -134,24 +148,6 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
     return VerificationReport(claim=claim.id, params=params, status=status,
                               counterexamples=counterexamples, table=table,
                               elapsed_ms=elapsed_ms)
-
-
-def _run_parallel(claim_id: str, points: list, jobs: int,
-                  executor: ProcessPoolExecutor | None, stop_on_first: bool):
-    chunk = max(1, -(-len(points) // (jobs * 4)))
-    own = executor is None
-    pool = executor or ProcessPoolExecutor(max_workers=jobs)
-    futures = []
-    try:
-        futures = [pool.submit(_eval_chunk, claim_id, points[lo:lo + chunk], stop_on_first)
-                   for lo in range(0, len(points), chunk)]
-        for fut in futures:
-            yield from fut.result()
-    finally:
-        for fut in futures:  # a no-op for chunks done; the rest are not needed
-            fut.cancel()
-        if own:
-            pool.shutdown()
 
 
 def suite_claims(suite: str) -> tuple[str, ...]:
@@ -180,9 +176,9 @@ def run_claims(claim_ids, overrides: dict | None = None, *, deep: bool = False,
                                         executor=executor))
             if stop_on_first and reports[-1].status == "counterexample":
                 break
-    finally:
+    finally:  # chunks not started when a claim stops or raises are not needed
         if executor is not None:
-            executor.shutdown()
+            executor.shutdown(cancel_futures=True)
     return reports
 
 

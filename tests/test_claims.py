@@ -13,6 +13,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
@@ -1078,6 +1079,49 @@ class TestEngine:
         assert reports[-1].status == "counterexample"
         assert len(reports[-1].counterexamples) == 1
         assert [r.claim for r in reports] == ["CONJ-5.1.a", "CONJ-5.1.b"]
+
+    # each case crosses a chunk boundary with something a report keeps
+    _CHUNK_CASES = [
+        ("THM-1.1.i", {"n_max": 60}, False),  # more table rows than the cap
+        # skips for b = 0 and for d = b^2 - 4c = 0 between checked points
+        ("THM-1.3.a", {"n_max": 8, "b_set": (-2, 0, 2), "c_set": (1, 2)}, False),
+        ("CONJ-5.1.b", {"prime_hi": 60}, False),  # skips p = 3, fails from p = 11
+        ("CONJ-5.1.b", {"prime_hi": 60}, True),
+        ("MUT-THM-1.1.i", None, False),
+    ]
+
+    @pytest.mark.parametrize("claim_id, overrides, stop_on_first", _CHUNK_CASES)
+    def test_joined_chunks_match_one_chunk(self, claim_id, overrides, stop_on_first):
+        claim = CLAIMS[claim_id]
+        points = list(claim.grid.points(verify.effective_range(claim, overrides)))
+        whole = verify._eval_chunk(claim_id, points, stop_on_first)
+        checked, skipped, table, counterexamples = whole
+        assert skipped or counterexamples or (checked > len(table) == verify._TABLE_CAP)
+        for size in range(1, len(points) + 1):
+            parts = [verify._eval_chunk(claim_id, points[lo:lo + size], stop_on_first)
+                     for lo in range(0, len(points), size)]
+            assert verify._join(parts, stop_on_first) == whole, size
+
+    @pytest.mark.parametrize("claim_id, overrides, stop_on_first", _CHUNK_CASES)
+    def test_pooled_join_matches_serial(self, claim_id, overrides, stop_on_first):
+        class InlineExecutor:
+            """Runs each submitted call at once and hands back its finished
+            future, so the pooled path runs without processes."""
+            submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        inline = InlineExecutor()
+        pooled = verify_claim(claim_id, overrides, stop_on_first=stop_on_first, jobs=3,
+                              executor=inline)
+        serial = verify_claim(claim_id, overrides, stop_on_first=stop_on_first)
+        assert inline.submitted > 1
+        assert (reports_to_json([pooled], include_elapsed=False)
+                == reports_to_json([serial], include_elapsed=False))
 
 
 class TestReportSerialization:
