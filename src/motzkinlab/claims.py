@@ -18,8 +18,8 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
-from .polynomials import (Poly, ZERO, ONE, _fold, _Packed, big_schroder_poly, q_binomial,
-                          q_integer, s_poly, w_poly)
+from .polynomials import (Poly, ZERO, ONE, _binomial_transform, _fold, _Packed,
+                          big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 from .reports import ParamRange
 
 
@@ -158,6 +158,9 @@ _T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-3.1.b, LEM-4.1
 _M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # REM-2.1, EQ-2.8, LEM-2.1.a
     comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1) for k in range(1, n + 2)))
 _EQ411_ROW = seq._PrefixCache(_eq_4_11_row, start=1)  # (L, row) keyed by delta: EQ-4.11
+# LEM-4.4.b: entry k-1 is sum_j C(n-j,k-j) (-1)^(k-j) w(n,j) (LEM-4.4.a reads s_n)
+_W_INVERSE_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_binomial_transform(
+    [seq.w_coeff(n, j) for j in range(1, n + 1)], -1)), start=1)
 
 
 def _e28_row(k: int) -> int:
@@ -451,18 +454,6 @@ def _check_eq_2_8(point):
     return _ok()
 
 
-def _cyclotomic_step(prefix: list, d: int, _key) -> Poly:
-    """Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e, by exact division in Z[q]."""
-    divisor = ONE
-    for e in range(1, d):
-        if d % e == 0:
-            divisor = divisor * prefix[e - 1]
-    return Poly((-1,) + (0,) * (d - 1) + (1,)).exact_div(divisor)
-
-
-_CYCLOTOMIC = seq._PrefixCache(_cyclotomic_step, start=1)  # Phi_d at index d
-
-
 def _lucas_step(_prefix, m: int, d: int) -> tuple:
     """For n = m*d and k < n, with j, r = divmod(k, d): the integers u, v, t
     with [n+1 k] = u, [n+k k] = v and [2k k] = t [2r r] mod Phi_d (q-Lucas).
@@ -481,12 +472,15 @@ class CheckerDisagreement(RuntimeError):
 
 
 def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> Poly:
-    """LEM-2.3's sum mod Phi_d for d | n, d > 1, by q-Lucas.
+    """For d | n, d > 1: a residue mod q^d - 1, zero exactly when Phi_d divides
+    LEM-2.3's sum (q-Lucas).
 
     Mod Phi_d the k-th term is u^a v^b t [2r r] [k+w]_q (-[3]_q)^(n-1-k),
     with the scalars of _LUCAS and [k+w]_q = [(k+w) mod d]_q.  The sum is
     formed by Horner in -[3]_q on a length-d residue mod q^d - 1, where q^i
-    is a rotation, and reduced once by Phi_d."""
+    is a rotation, then multiplied by prod_{p | d prime} (q^(d/p) - 1), one
+    rotation and subtraction per p.  q^d - 1 is squarefree and the product
+    vanishes at its roots but the primitive d-th ones, the roots of Phi_d."""
     shapes = {}  # r -> [2r r] [(r+w) mod d]_q mod q^d - 1, for the r that occur
     acc = [0] * d
     for k, (u, v, t) in enumerate(_LUCAS.at(n // d, d)):
@@ -498,7 +492,9 @@ def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> Po
                 shapes[r] = _times_q_integer(_fold(q_binomial(2 * r, r).coeffs, d),
                                              (r + weight_shift) % d)
             acc = [x + c * y for x, y in zip(acc, shapes[r])]
-    return Poly(acc).div_rem(_CYCLOTOMIC.at(d))[1]
+    for s in [d // p for p in range(2, d + 1) if d % p == 0 and modular.is_prime(p)]:
+        acc = [x - y for x, y in zip(acc[-s:] + acc[:-s], acc)]
+    return Poly(acc)
 
 
 def _times_q_integer(f: list, s: int) -> list:
@@ -755,7 +751,7 @@ def _check_lem_4_3(point):
 def _check_lem_4_4_a(point):
     n, k = point
     lhs = seq.w_coeff(n, k)
-    rhs = sum(comb(n - j, k - j) * seq.narayana(n, j) for j in range(1, k + 1))
+    rhs = _S_POLY.at(n).coeffs[k - 1]
     if lhs != rhs:
         return _fail(f"w(n,k) = {lhs}", f"binomial transform of N(n,*) = {rhs}")
     return _ok()
@@ -764,8 +760,7 @@ def _check_lem_4_4_a(point):
 def _check_lem_4_4_b(point):
     n, k = point
     lhs = seq.narayana(n, k)
-    rhs = sum(comb(n - j, k - j) * (-1) ** (k - j) * seq.w_coeff(n, j)
-              for j in range(1, k + 1))
+    rhs = _W_INVERSE_ROW.at(n)[k - 1]
     if lhs != rhs:
         return _fail(f"N(n,k) = {lhs}", f"inverse transform of w(n,*) = {rhs}")
     return _ok()

@@ -176,12 +176,6 @@ class Poly:
                 base = base * base
         return result
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -312,17 +306,22 @@ def q_binomial(n: int, k: int) -> Poly:
     return _Q_ROWS.at(n)[k]
 
 
+def _binomial_transform(row, sign: int) -> list[int]:
+    """Coefficients of sum_j row[j] x^j (1 + sign*x)^(m-1-j), m = len(row): entry
+    i is sum_j C(m-1-j, i-j) sign^(i-j) row[j].  Horner's rule: each step is
+    a product by 1 + sign*x (Pascal's rule) and adds row[j] at x^j."""
+    acc = []
+    for j, r in enumerate(row):
+        acc = [a + sign * b for a, b in zip(acc + [0], [0] + acc)]
+        acc[j] += r
+    return acc
+
+
 def s_poly(n: int) -> Poly:
     """Narayana polynomial sum_{k=1..n} N(n, k) x^(k-1) (x+1)^(n-k)."""
     if n < 1:
         raise ValueError("s_poly: n must be >= 1")
-    xp1 = [ONE]
-    for _ in range(n - 1):
-        xp1.append(xp1[-1] * Poly((1, 1)))
-    acc = ZERO
-    for k in range(1, n + 1):
-        acc = acc + (xp1[n - k] * sequences.narayana(n, k)).shift(k - 1)
-    return acc
+    return Poly(_binomial_transform([sequences.narayana(n, k) for k in range(1, n + 1)], 1))
 
 
 def big_schroder_poly(n: int, h: int = 1) -> Poly:

@@ -301,6 +301,16 @@ def _tuple_fold_q_sums_2_9(n: int) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> Poly:
+    """Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e, by exact division in Z[q]."""
+    divisor = Poly((1,))
+    for e in range(1, d):
+        if d % e == 0:
+            divisor = divisor * _cyclotomic(e)
+    return Poly((-1,) + (0,) * (d - 1) + (1,)).exact_div(divisor)
+
+
 class TestPinnedPoints:
     def test_id_1_8_at_n_1(self):
         # both sides equal 6: 1*2*3*M_0^2*3^0 and 1*2*3*M_1*M_0
@@ -434,8 +444,9 @@ class TestPinnedPoints:
     def test_lucas_verdict_matches_fold(self):
         # q-Lucas at the divisors of n decides every point as the fold mod
         # q^n - 1 does, a = 0 (where the lemma is false) and the mutated
-        # weight [k+3]_q included; Phi_d divides q^n - 1, so each remainder
-        # mod Phi_d must also equal the folded residue's
+        # weight [k+3]_q included; Phi_d divides q^n - 1, so each residue
+        # mod q^d - 1 must be zero exactly when Phi_d, built here by long
+        # division, divides the folded residue
         refuted = nonzero = 0
         for n in range(1, 31):
             for a in range(3):
@@ -447,13 +458,14 @@ class TestPinnedPoints:
                         refuted += not fold
                         for d in range(2, n + 1):
                             if n % d == 0:
-                                expected = Poly(residue).div_rem(claims._CYCLOTOMIC.at(d))[1]
-                                assert claims._lucas_remainder(n, d, a, bexp, shift) == expected
+                                expected = Poly(residue).div_rem(_cyclotomic(d))[1]
+                                got = claims._lucas_remainder(n, d, a, bexp, shift)
+                                assert got.is_zero == expected.is_zero, (n, d, a, bexp, shift)
                                 nonzero += not expected.is_zero
         assert (refuted, nonzero) == (330, 786)
 
     def test_cyclotomic_polynomials(self):
-        # Phi_d from the cache against its degree phi(d), the factorization
+        # the oracle's Phi_d against its degree phi(d), the factorization
         # q^n - 1 = prod_{d | n} Phi_d and the Moebius product at three points
         def mobius(m: int) -> int:
             out, p = 1, 2
@@ -466,19 +478,18 @@ class TestPinnedPoints:
                 p += 1
             return -out if m > 1 else out
 
-        cyclotomic = claims._CYCLOTOMIC
         for n in range(1, 41):
             divisors = [d for d in range(1, n + 1) if n % d == 0]
-            assert cyclotomic.at(n).degree == sum(gcd(i, n) == 1 for i in range(1, n + 1))
+            assert _cyclotomic(n).degree == sum(gcd(i, n) == 1 for i in range(1, n + 1))
             product = Poly((1,))
             for d in divisors:
-                product = product * cyclotomic.at(d)
+                product = product * _cyclotomic(d)
             assert product == Poly((-1,) + (0,) * (n - 1) + (1,)), n
             for q0 in (2, 3, -2):
                 value = Fraction(1)
                 for e in divisors:
                     value *= Fraction(q0 ** e - 1) ** mobius(n // e)
-                assert cyclotomic.at(n)(q0) == value, (n, q0)
+                assert _cyclotomic(n)(q0) == value, (n, q0)
 
     def test_lem_2_1_a_at_n_1(self):
         report = verify_claim("LEM-2.1.a", {"n_max": 1})
@@ -611,6 +622,14 @@ def _lem_2_1_a_rhs(n: int) -> Poly:
     return acc
 
 
+def _lem_4_4_a_rhs(n: int, k: int) -> int:
+    return sum(comb(n - j, k - j) * seq.narayana(n, j) for j in range(1, k + 1))
+
+
+def _lem_4_4_b_rhs(n: int, k: int) -> int:
+    return sum(comb(n - j, k - j) * (-1) ** (k - j) * seq.w_coeff(n, j) for j in range(1, k + 1))
+
+
 def _lem_2_4_comb_residue(p: int) -> int:
     return sum(comb(2 * k, k) * pow(k * 3 ** k, -1, p) for k in range(1, p)) % p
 
@@ -648,6 +667,19 @@ class TestCachedRows:
         for point in _grid_small_points(n_lo):
             _, text = _fail_texts(monkeypatch, seq, table, check, point)
             assert text == prefix + str(rhs(*point)), point
+
+    @pytest.mark.parametrize("claim_id, table, prefix, rhs", [
+        ("LEM-4.4.a", "w_coeff", "binomial transform of N(n,*) = ", _lem_4_4_a_rhs),
+        ("LEM-4.4.b", "narayana", "inverse transform of w(n,*) = ", _lem_4_4_b_rhs),
+    ])
+    def test_transform_right_side(self, monkeypatch, claim_id, table, prefix, rhs):
+        # the right side is entry k-1 of a row per n (s_n's coefficients, or
+        # the inverse transform of the w row); the oracle sums its terms
+        check = CLAIMS[claim_id].check
+        for n in range(1, 16):
+            for k in range(1, n + 1):
+                _, text = _fail_texts(monkeypatch, seq, table, check, (n, k))
+                assert text == prefix + str(rhs(n, k)), (n, k)
 
     def test_eq_4_11_sum(self):
         for b, c, n in _grid_small_points(1):
@@ -811,7 +843,12 @@ _REFUTED = "counterexample"
      {"REM-2.1": _REFUTED, "LEM-2.1.a": _REFUTED, "EQ-2.8": "NonIntegral"}),
     (claims._EQ411_ROW, 0, lambda e: (e[0], _bump3(e[1])), {"EQ-4.11": _REFUTED}),
     (claims._EQ411_ROW, 1, lambda e: (e[0], _bump3(e[1])), {"EQ-4.11": _REFUTED}),
-], ids=["T^2", "M^2", "EQ-4.11-delta0", "EQ-4.11-delta1"])
+    (claims._W_INVERSE_ROW, (), _bump3, {"LEM-4.4.b": _REFUTED}),
+    # s_7, whose coefficients are LEM-4.4.a's transform row
+    (claims._S_POLY, (), lambda p: Poly(_bump3(p.coeffs)),
+     dict.fromkeys(("LEM-4.4.a", "LEM-4.5", "ID-2.3", "LEM-2.1.a", "LEM-2.1.b", "EQ-4.13"),
+                   _REFUTED)),
+], ids=["T^2", "M^2", "EQ-4.11-delta0", "EQ-4.11-delta1", "w-inverse", "s_n"])
 def test_perturbed_row_coefficient_is_caught_and_reset_clears_it(row, key, bump, perturbed):
     """Coefficient 3 of cached row 7, plus 1, must be caught by every claim
     that reads the row; after the one reset the same claims verify again."""
@@ -834,12 +871,11 @@ def test_perturbed_row_coefficient_is_caught_and_reset_clears_it(row, key, bump,
     assert statuses() == dict.fromkeys(perturbed, "verified")
 
 
-def _bump_phi_3() -> None:
-    """Constant coefficient of Phi_3 plus 1; later entries stay as filled."""
-    cache = claims._CYCLOTOMIC
-    cache.prefix(14)
-    coeffs = cache.at(3).coeffs
-    cache._data[()][3 - cache._start] = Poly((coeffs[0] + 1,) + coeffs[1:])
+def _drop_rotation_3(monkeypatch) -> None:
+    """Skip the rotation of the prime 3 in the Phi_d test, so a d with 3 | d
+    asks for the sum to vanish at roots of q^(d/3) - 1 as well."""
+    is_prime = modular.is_prime
+    monkeypatch.setattr(modular, "is_prime", lambda p: p != 3 and is_prime(p))
 
 
 def _bump_lucas_scalar(slot: int) -> None:
@@ -854,36 +890,41 @@ def _bump_lucas_scalar(slot: int) -> None:
 
 
 @pytest.mark.parametrize("bump", [
-    _bump_phi_3,
-    lambda: _bump_lucas_scalar(0),
-    lambda: _bump_lucas_scalar(1),
-    lambda: _bump_lucas_scalar(2),
+    _drop_rotation_3,
+    lambda _: _bump_lucas_scalar(0),
+    lambda _: _bump_lucas_scalar(1),
+    lambda _: _bump_lucas_scalar(2),
 ], ids=["Phi_d", "[n+1 k]", "[n+k k]", "[k+w][2k k]"])
-def test_perturbed_q_factor_is_caught_and_reset_clears_it(bump):
-    """One wrong coefficient of a cached Phi_d or one wrong q-Lucas scalar
-    must stop LEM-2.3 from verifying: q-Lucas refutes a point that the fold
-    mod q^n - 1 does not, which is an internal error.  After the one reset
-    the claim verifies again."""
+def test_perturbed_q_factor_is_caught_and_reset_clears_it(monkeypatch, bump):
+    """A Phi_d test that drops one prime's rotation, or one wrong q-Lucas
+    scalar, must stop LEM-2.3 from verifying: q-Lucas refutes a point that
+    the fold mod q^n - 1 does not, which is an internal error.  After the
+    patch is undone and the caches reset the claim verifies again."""
     small = {"n_max": 14, "qexp_a_max": 2, "qexp_b_max": 2}
     seq._reset_caches()
     try:
-        bump()
+        bump(monkeypatch)
         with pytest.raises(claims.CheckerDisagreement):
             verify_claim("LEM-2.3", small)
     finally:
+        monkeypatch.undo()
         seq._reset_caches()
     assert verify_claim("LEM-2.3", small).status == "verified"
 
 
 def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
-    # threads that fill the Phi_d cache in opposite d orders, through the
-    # q-Lucas verdicts of both weights, must all finish with the serial
-    # verdicts and the serial Phi_d
+    # threads that fill the q-Lucas scalar rows in opposite d orders, through
+    # the q-Lucas verdicts of both weights, must all finish with the serial
+    # verdicts and the serial rows
     points = [(n, a, bexp, shift) for n in range(1, 31) for a in (0, 1, 2)
               for bexp in (0, 1, 2) for shift in (2, 3)]
     seq._reset_caches()
     expected = [_q_divides_2_9(*pt) for pt in points]
-    phis = claims._CYCLOTOMIC.prefix(30)
+
+    def lucas_rows():
+        return {d: claims._LUCAS.prefix(30 // d, d) for d in range(1, 31)}
+
+    rows = lucas_rows()
     n_threads, got, errors = 6, [], []
 
     def work(start: threading.Barrier, order: int) -> None:
@@ -891,7 +932,7 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
             start.wait()
             if order % 3 == 2:
                 for d in range(30, 0, -1):
-                    claims._CYCLOTOMIC.at(d)
+                    claims._LUCAS.at(30 // d, d)
             pts = points if order % 2 else points[::-1]
             out = {pt: _q_divides_2_9(*pt) for pt in pts}
             got.append([out[pt] for pt in points])
@@ -910,7 +951,7 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert claims._CYCLOTOMIC.prefix(30) == phis
+            assert lucas_rows() == rows
     finally:
         sys.setswitchinterval(interval)
     assert errors == []

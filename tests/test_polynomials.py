@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from motzkinlab import sequences as seq
 from motzkinlab.polynomials import (DivisionByZeroPolynomial, NotDivisible,
-                                    Poly, ZERO, ONE, big_schroder_poly,
-                                    q_binomial, q_integer, s_poly, w_poly)
+                                    Poly, ZERO, ONE, _binomial_transform,
+                                    big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 
 Q = Poly((0, 1))
 
@@ -206,10 +207,36 @@ class TestAgainstSympy:
                     assert q_binomial(n, k)(q0) * den == num
 
 
+def _s_poly_by_powers(n: int) -> Poly:
+    """s_n = sum_k N(n, k) x^(k-1) (x+1)^(n-k), expanded with Poly products."""
+    xp1 = [ONE]
+    for _ in range(n - 1):
+        xp1.append(xp1[-1] * Poly((1, 1)))
+    acc = ZERO
+    for k in range(1, n + 1):
+        acc = acc + xp1[n - k] * Poly((0,) * (k - 1) + (1,)) * seq.narayana(n, k)
+    return acc
+
+
 class TestFamilies:
     def test_s_poly_small(self):
         assert s_poly(1) == ONE
         assert s_poly(2) == Poly((1, 2))
+
+    def test_s_poly_matches_power_expansion(self):
+        for n in range(1, 61):
+            assert s_poly(n) == _s_poly_by_powers(n), n
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_binomial_transform_matches_its_sum(self, sign):
+        # entry i of sum_j row[j] x^j (1 + sign*x)^(m-1-j) is
+        # sum_j C(m-1-j, i-j) sign^(i-j) row[j]; rows of every length to 24
+        rng = random.Random(16 + sign)
+        for m in range(25):
+            row = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)]
+            expected = [sum(math.comb(m - 1 - j, i - j) * sign ** (i - j) * row[j]
+                            for j in range(i + 1)) for i in range(m)]
+            assert _binomial_transform(row, sign) == expected, (m, row)
 
     def test_s_poly_at_one_is_little_schroder(self):
         for n in range(1, 101):
