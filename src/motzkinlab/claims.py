@@ -18,7 +18,7 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
-from .polynomials import (Poly, ZERO, ONE, _binomial_transform, _fold, _Packed,
+from .polynomials import (Poly, ZERO, _binomial_transform, _expand_in_y, _fold, _Packed,
                           big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 from .reports import ParamRange
 
@@ -121,6 +121,17 @@ _E28_LHS = _Acc(0, lambda prev, n, _: prev + _e28_row(n))
 # f read as f.at(k, h): _W_POLY or _BIG_S_POLY by the exponent h, _S_POLY with h = ()
 _POW_SUM = _Acc(1, lambda prev, n, key: prev + key[0].at(n, key[1]) ** key[2]
                 * (key[3] ** n * n * (n + 1) * (2 * n + 1)), init=ZERO)
+# The triangle partial sums, keyed by j and indexed by m.  Their terms with
+# k < j vanish, so every key starts at the same m.
+# sum_{k=j..m-1} (-1)^(m-1-k) (2k+1) C(k+j, 2j): EQ-4.2
+_S42 = _Acc(1, lambda prev, m, j: -prev + (2 * m - 1) * comb(m - 1 + j, 2 * j))
+# sum_{k=j+1..m} k^(2 delta) (k-j) C(k+j, 2j), keyed (j, delta): EQ-4.10
+_S410 = _Acc(1, lambda prev, m, key: prev
+             + m ** (2 * key[1]) * (m - key[0]) * comb(m + key[0], 2 * key[0]))
+# sum_{k=j..m} (2k+1) C(k+j, 2j): EQ-4.12
+_S412 = _Acc(0, lambda prev, m, j: prev + (2 * m + 1) * comb(m + j, 2 * j))
+# sum_{k=j+1..m} (k-1)(8k+1) 3^(k-1-j), 0 for m <= j: EQ-3.partial
+_S3P = _Acc(1, lambda prev, m, j: prev + (m - 1) * (8 * m + 1) * 3 ** (m - 1 - j) if m > j else 0)
 
 
 # polynomial families by index n (w and S keyed by the exponent h)
@@ -128,7 +139,6 @@ _S_POLY = seq._PrefixCache(lambda _prefix, n, _key: s_poly(n), start=1)
 _W_POLY = seq._PrefixCache(lambda _prefix, n, h: w_poly(n, h), start=1)
 _BIG_S_POLY = seq._PrefixCache(lambda _prefix, n, h: big_schroder_poly(n, h))
 _XP1 = Poly((1, 1))
-_Y = Poly((0, 1, 1))  # x(x+1)
 
 
 def _a_coeff(n: int, k: int) -> int:
@@ -138,7 +148,7 @@ def _a_coeff(n: int, k: int) -> int:
 
 
 def _hom_eval(weights: Iterable[int], c, d):
-    """sum_j w_j c^j d^(m-j) over the weights w_0..w_m by homogeneous Horner; d may be a Poly."""
+    """sum_j w_j c^j d^(m-j) over the integer weights w_0..w_m by homogeneous Horner."""
     acc, cj = 0, 1
     for w in weights:
         acc = acc * d + w * cj
@@ -410,8 +420,8 @@ def _check_id_2_3(point):
 def _check_lem_2_1_a(point):
     n = point
     lhs = _S_POLY.at(n) * _S_POLY.at(n) * (n * (n + 1))
-    # REM-2.1's row n-1 at (c, d) = (x(x+1), 1), read from the top at (1, x(x+1))
-    rhs = _hom_eval(reversed(_M2_ROW.at(n - 1)), 1, _Y)
+    # REM-2.1's row n-1 at (c, d) = (x(x+1), 1): row[k-1] is the coefficient of y^(k-1)
+    rhs = Poly(_expand_in_y(_M2_ROW.at(n - 1)))
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
     return _ok()
@@ -672,7 +682,7 @@ def _check_lem_3_3(point):
 
 def _check_eq_3_partial(point):
     j, m = point
-    lhs = 4 * sum((k - 1) * (8 * k + 1) * 3 ** (k - 1 - j) for k in range(j + 1, m + 1))
+    lhs = 4 * _S3P.at(m, j)
     rhs = 3 ** (m - j) * (16 * m * m - 30 * m + 21) - (16 * j * j - 30 * j + 21)
     if lhs != rhs:
         return _fail(f"4*partial sum = {lhs}", f"closed form = {rhs}")
@@ -723,7 +733,7 @@ def _check_lem_4_1(point):
 
 def _check_eq_4_2(point):
     j, m = point
-    lhs = sum((-1) ** (m - 1 - k) * (2 * k + 1) * comb(k + j, 2 * j) for k in range(j, m))
+    lhs = _S42.at(m, j)
     rhs = (m - j) * comb(m + j, 2 * j)
     if lhs != rhs:
         return _fail(f"alt partial sum = {lhs}", f"(m-j)*C(m+j,2j) = {rhs}")
@@ -795,8 +805,7 @@ def _check_rec_w(point):
 
 def _check_eq_4_10(point):
     delta, j, m = point
-    lhs = 2 * (j + delta + 1) * sum(k ** (2 * delta) * (k - j) * comb(k + j, 2 * j)
-                                    for k in range(j + 1, m + 1))
+    lhs = 2 * (j + delta + 1) * _S410.at(m, (j, delta))
     rhs = m ** delta * (m + 1) ** delta * (m - j) * (m + j + 1) * comb(m + j, 2 * j)
     if lhs != rhs:
         return _fail(f"2(j+d+1)*partial sum = {lhs}", f"closed form = {rhs}")
@@ -820,7 +829,7 @@ def _check_eq_4_11(point):
 
 def _check_eq_4_12(point):
     j, m = point
-    lhs = (j + 1) * sum((2 * k + 1) * comb(k + j, 2 * j) for k in range(j, m + 1))
+    lhs = (j + 1) * _S412.at(m, j)
     rhs = (m + 1) * (m + j + 1) * comb(m + j, 2 * j)
     if lhs != rhs:
         return _fail(f"(j+1)*partial sum = {lhs}", f"closed form = {rhs}")
@@ -830,14 +839,10 @@ def _check_eq_4_12(point):
 def _check_eq_4_13(point):
     n = point
     lhs = _POW_SUM.at(n, (_S_POLY, (), 2, 1))
-    acc = ZERO
-    ypow = ONE
-    for k in range(1, n + 1):
-        acc = acc + ypow * ((n + k + 1) * comb(n + 1, k + 1) * comb(n + k, k)
-                            * comb(2 * k, k + 1))
-        ypow = ypow * _Y
-    if lhs != acc:
-        return _fail(lhs.render(), acc.render())
+    rhs = Poly(_expand_in_y([(n + k + 1) * comb(n + 1, k + 1) * comb(n + k, k) * comb(2 * k, k + 1)
+                             for k in range(1, n + 1)]))
+    if lhs != rhs:
+        return _fail(lhs.render(), rhs.render())
     return _ok()
 
 

@@ -317,6 +317,16 @@ def _binomial_transform(row, sign: int) -> list[int]:
     return acc
 
 
+def _expand_in_y(row) -> list[int]:
+    """Coefficients in x of sum_k row[k] y^k with y = x(x+1).  Horner's rule
+    from the top coefficient: each step multiplies by x + x^2 as one shift
+    and one product by 1 + x (Pascal's rule), then adds row[k] at x^0."""
+    acc = []
+    for r in reversed(row):
+        acc = [r] + [a + b for a, b in zip(acc + [0], [0] + acc)] if acc else [r]
+    return acc
+
+
 def s_poly(n: int) -> Poly:
     """Narayana polynomial sum_{k=1..n} N(n, k) x^(k-1) (x+1)^(n-k)."""
     if n < 1:

@@ -126,6 +126,18 @@ _KEYED_SUMS = [
     *[("_WSUM_W", (alpha, beta),
        lambda n, alpha=alpha, beta=beta: sum((alpha * k + beta) * _w(k) ** 2 for k in range(n)))
       for alpha, beta in ((8, 9), (0, 1))],
+    # the triangle partial sums, keyed by j (and delta) and indexed by m
+    *[("_S42", j, lambda m, j=j: sum((-1) ** (m - 1 - k) * (2 * k + 1) * comb(k + j, 2 * j)
+                                     for k in range(j, m)))
+      for j in (0, 5)],
+    *[("_S410", (j, delta), lambda m, j=j, delta=delta: sum(
+        k ** (2 * delta) * (k - j) * comb(k + j, 2 * j) for k in range(j + 1, m + 1)))
+      for j in (0, 5) for delta in (0, 1)],
+    *[("_S412", j, lambda m, j=j: sum((2 * k + 1) * comb(k + j, 2 * j) for k in range(j, m + 1)))
+      for j in (0, 5)],
+    *[("_S3P", j, lambda m, j=j: sum((k - 1) * (8 * k + 1) * 3 ** (k - 1 - j)
+                                     for k in range(j + 1, m + 1)))
+      for j in (0, 5)],
 ]
 
 
@@ -622,6 +634,15 @@ def _lem_2_1_a_rhs(n: int) -> Poly:
     return acc
 
 
+def _eq_4_13_rhs(n: int) -> Poly:
+    acc = ZERO
+    ypow = Poly((1,))
+    for k in range(1, n + 1):
+        acc = acc + ypow * ((n + k + 1) * comb(n + 1, k + 1) * comb(n + k, k) * comb(2 * k, k + 1))
+        ypow = ypow * Poly((0, 1, 1))
+    return acc
+
+
 def _lem_4_4_a_rhs(n: int, k: int) -> int:
     return sum(comb(n - j, k - j) * seq.narayana(n, j) for j in range(1, k + 1))
 
@@ -698,6 +719,13 @@ class TestCachedRows:
         for n in range(1, 16):
             kind, _, rhs = claims._check_lem_2_1_a(n)
             assert kind == "fail" and rhs == _lem_2_1_a_rhs(n).render(), n
+
+    def test_eq_4_13_polynomial(self, monkeypatch):
+        monkeypatch.setattr(claims, "_S_POLY", seq._PrefixCache(
+            lambda _prefix, n, _key: Poly((_HUGE,)), start=1))
+        for n in range(1, 16):
+            kind, _, rhs = claims._check_eq_4_13(n)
+            assert kind == "fail" and rhs == _eq_4_13_rhs(n).render(), n
 
     def test_lem_2_4_residue(self):
         primes = modular.primes_in(5, 997)
@@ -810,7 +838,13 @@ _SMALL_AT_3_2 = {"n_max": 12, "prime_hi": 50, "b_set": [3], "c_set": [2]}
     (claims._MSQ_SUM, (3, 2, 1, 3), ("COR-1.1.c", "THM-1.3.c")),
     (claims._MSQ_SUM, (3, 2, -1, 3), ("COR-1.1.d", "THM-1.3.d")),
     (claims._S411, (3, 2, 0), ("COR-1.1.ab", "THM-1.3.a", "EQ-4.11")),
-], ids=["M", "T", "D=T(3,2)", "s=M(3,2)", "sum-s^2", "alt-sum-s^2", "sum-D*D"])
+    # the triangle partial sums at j = 2: entry 7 is m = 7, or m = 6 for EQ-4.12
+    (claims._S42, 2, ("EQ-4.2",)),
+    (claims._S410, (2, 1), ("EQ-4.10",)),
+    (claims._S412, 2, ("EQ-4.12",)),
+    (claims._S3P, 2, ("EQ-3.partial",)),
+], ids=["M", "T", "D=T(3,2)", "s=M(3,2)", "sum-s^2", "alt-sum-s^2", "sum-D*D",
+        "EQ-4.2", "EQ-4.10", "EQ-4.12", "EQ-3.partial"])
 def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, dependents):
     """One wrong table or running-sum entry (index 7) must refute every claim
     that reads it, through every accumulator built on it; after the one reset

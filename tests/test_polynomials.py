@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from motzkinlab import sequences as seq
 from motzkinlab.polynomials import (DivisionByZeroPolynomial, NotDivisible,
-                                    Poly, ZERO, ONE, _binomial_transform,
+                                    Poly, ZERO, ONE, _binomial_transform, _expand_in_y,
                                     big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 
 Q = Poly((0, 1))
@@ -237,6 +237,18 @@ class TestFamilies:
             expected = [sum(math.comb(m - 1 - j, i - j) * sign ** (i - j) * row[j]
                             for j in range(i + 1)) for i in range(m)]
             assert _binomial_transform(row, sign) == expected, (m, row)
+
+    def test_expand_in_y_matches_poly_horner(self):
+        # sum_k row[k] y^k with y = x(x+1), by Poly products; rows of every length to 24
+        rng = random.Random(17)
+        y = Poly((0, 1, 1))
+        for m in range(25):
+            row = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)]
+            expected = ZERO
+            for r in reversed(row):
+                expected = expected * y + r
+            out = _expand_in_y(row)
+            assert len(out) == max(2 * m - 1, 0) and Poly(out) == expected, (m, row)
 
     def test_s_poly_at_one_is_little_schroder(self):
         for n in range(1, 101):
