@@ -73,11 +73,6 @@ class _Acc(seq._PrefixCache):
     at = seq._PrefixCache.at
 
 
-def _d_of(key) -> int:
-    b, c = key
-    return b * b - 4 * c
-
-
 # These steps unpack their key.  Lambdas that sliced it took 2.5 ms instead of
 # 1.5 ms for COR-1.1.ab's two sums to n = 333 (Python 3.11, 2-vCPU VM).
 def _msq_step(prev, n, key):
@@ -89,6 +84,17 @@ def _s411_step(prev, n, key):
     b, c, delta = key
     return ((b * b - 4 * c) * prev
             + n ** (2 * delta + 1) * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c))
+
+
+def _e34_step(prev, n, _key):
+    r = (2 * n + 1) * _hom_eval(_T2_ROW.at(n), 1, -3)
+    return 3 * prev[0] + r, prev[1] + (16 * n * n - 30 * n + 21) * r
+
+
+def _pow_step(prev, n, key):
+    f, h, m = key
+    term = f.at(n, h) ** m * (n * (n + 1) * (2 * n + 1))
+    return prev[0] + term, (prev[1] - term if n % 2 else prev[1] + term)
 
 
 # One running sum per sum of the paper, keyed by the constants that vary.  A
@@ -105,8 +111,8 @@ _TT_SUM = _Acc(1, lambda prev, n, e: prev + (n - 1) * n * (8 * n - 8 + e)
 # with sigma = +1 or -1: THM-1.3.c/d read (b, c, +-1, 3), ID-1.8 (1, 1, -1, 3),
 # COR-1.1.c/d (3, 2, +-1, 3) and MUT-ID-1.8 (1, 1, -1, 4)
 _MSQ_SUM = _Acc(1, _msq_step)
-# sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k)
-_S31 = _Acc(1, lambda prev, n, key: -_d_of(key) * prev
+# sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k), with -d = 4c - b^2
+_S31 = _Acc(1, lambda prev, n, key: (4 * key[1] - key[0] ** 2) * prev
             + (2 * n - 1) * seq.gen_trinomial(n - 1, *key) ** 2)
 # sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k), keyed (b, c, delta); THM-1.3.a
 # reads delta = 0, THM-1.3.b delta = 1, COR-1.1.ab (3, 2, 0) and (3, 2, 1)
@@ -117,10 +123,13 @@ _WSUM_W = _Acc(1, lambda prev, n, key: prev
                + (key[0] * (n - 1) + key[1]) * seq.motzkin_analog_w(n - 1) ** 2)
 # double sum of F(k, l) from the (2k+1)M_k^2 telescoping, one integer row per k
 _E28_LHS = _Acc(0, lambda prev, n, _: prev + _e28_row(n))
-# sum_{k=1..n} sign^k k(k+1)(2k+1) f_k(x)^m, keyed (f, h, m, sign) for a family
-# f read as f.at(k, h): _W_POLY or _BIG_S_POLY by the exponent h, _S_POLY with h = ()
-_POW_SUM = _Acc(1, lambda prev, n, key: prev + key[0].at(n, key[1]) ** key[2]
-                * (key[3] ** n * n * (n + 1) * (2 * n + 1)), init=ZERO)
+# EQ-3.4's double sum_{k=0..n} (2k+1)(3^(n-k) c(n) - c(k)) R_k, c(m) = 16m^2-30m+21 and R_k
+# LEM-3.1.b's row k at (c, d) = (1, -3), is c(n) U(n) - V(n) for the pair of
+# U(n) = 3U(n-1) + (2n+1)R_n and V(n) = V(n-1) + (2n+1)c(n)R_n
+_E34_LHS = _Acc(0, _e34_step, init=(0, 0))
+# sum_{k=1..n} k(k+1)(2k+1) f_k(x)^m and the same with signs (-1)^k, one power for both, keyed
+# (f, h, m) for f read as f.at(k, h): _W_POLY or _BIG_S_POLY by the exponent h, _S_POLY with h = ()
+_POW_SUM = _Acc(1, _pow_step, init=(ZERO, ZERO))
 # The triangle partial sums, keyed by j and indexed by m.  Their terms with
 # k < j vanish, so every key starts at the same m.
 # sum_{k=j..m-1} (-1)^(m-1-k) (2k+1) C(k+j, 2j): EQ-4.2
@@ -436,31 +445,29 @@ def _check_rem_2_1(point):
     return _ok()
 
 
+def _lem_2_2_sum(n: int) -> int:
+    """LEM-2.2's single sum_{k=0..n+1} (4n-2k+3)(n+k+2)C(n+k+1,2k)C(2k,k)C(2k+1,k)(-3)^(n+1-k),
+    with its terms in the cheaper form (k+1)C(n+k+2,2k+1)C(2k+1,k)^2.  Term k >= 1 is n+2
+    times EQ-2.8's factorial term j = k-1, (n+j+3)!(2j+3)!/((n-j)!(j+2)(j+1)!^4)."""
+    return sum((-3) ** (n + 1 - k) * (4 * n - 2 * k + 3) * (k + 1)
+               * comb(n + k + 2, 2 * k + 1) * comb(2 * k + 1, k) ** 2 for k in range(n + 2))
+
+
 def _check_lem_2_2(point):
     n = point
     lhs = (n + 2) * _WSUM_M.at(n, 1)
-    rhs = sum((4 * n - 2 * k + 3) * (n + k + 2) * comb(n + k + 1, 2 * k)
-              * comb(2 * k, k) * comb(2 * k + 1, k) * (-3) ** (n + 1 - k)
-              for k in range(n + 2))
+    rhs = _lem_2_2_sum(n)
     if lhs != rhs:
         return _fail(f"(n+2)*sum(2k+1)M_k^2 = {lhs}", f"single sum = {rhs}")
     return _ok()
 
 
-def _eq_2_8_sum(n: int) -> int:
-    """n+2 times EQ-2.8's single sum, with (n+j+3)!(2j+3)!/((n-j)!(j+2)(j+1)!^4)
-    = (j+2)C(n+j+3,2j+3)C(2j+3,j+1)^2."""
-    return sum((-3) ** (n - j) * (4 * n - 2 * j + 1) * (j + 2)
-               * comb(n + j + 3, 2 * j + 3) * comb(2 * j + 3, j + 1) ** 2 for j in range(n + 1))
-
-
 def _check_eq_2_8(point):
     n = point
     lhs = _E28_LHS.at(n)
-    base = 1 + (4 * n + 3) * (-3) ** (n + 1)
-    total = _eq_2_8_sum(n)
-    if (n + 2) * (lhs - base) != total:
-        return _fail(f"double sum = {lhs}", f"telescoped form = {base + Fraction(total, n + 2)}")
+    total = _lem_2_2_sum(n)
+    if (n + 2) * (lhs - 1) != total:
+        return _fail(f"double sum = {lhs}", f"telescoped form = {1 + Fraction(total, n + 2)}")
     return _ok()
 
 
@@ -689,21 +696,14 @@ def _check_eq_3_partial(point):
     return _ok()
 
 
-def _eq_3_4_sum(n: int) -> int:
-    """9/2 times EQ-3.4's right side: (n+k)!(2k)!/((n-k-1)!k!^4(k+1)) = C(n+k,2k+1)C(2k,k)C(2k+1,k)."""
-    return sum(_a_coeff(n, k) * (-3) ** (n - k) * comb(n + k, 2 * k + 1)
-               * comb(2 * k, k) * comb(2 * k + 1, k) for k in range(n))
-
-
 def _check_eq_3_4(point):
     n = point
-    c1 = 16 * n * n - 30 * n + 21
-    # the inner row sum_l C(k+l,2l)C(2l,l)^2(-3)^(k-l) is LEM-3.1.b's row k at (c, d) = (1, -3)
-    lhs = sum((2 * k + 1) * (3 ** (n - k) * c1 - (16 * k * k - 30 * k + 21))
-              * _hom_eval(row, 1, -3) for k, row in enumerate(_T2_ROW.prefix(n)))
-    total = _eq_3_4_sum(n)
-    if 9 * lhs != 2 * total:
-        return _fail(f"double sum = {lhs}", f"telescoped form = {Fraction(2 * total, 9)}")
+    u, v = _E34_LHS.at(n)
+    lhs = (16 * n * n - 30 * n + 21) * u - v
+    # its factorial single sum is 3(-1)^n n times LEM-3.2's, term by term
+    total = (-1) ** n * n * _sum_3_3(n)
+    if 3 * lhs != 2 * total:
+        return _fail(f"double sum = {lhs}", f"telescoped form = {Fraction(2 * total, 3)}")
     return _ok()
 
 
@@ -787,7 +787,7 @@ def _check_lem_4_5(point):
 
 def _check_lem_4_6(point):
     n = point
-    lhs = Poly((1, 2)) * _POW_SUM.at(n, (_W_POLY, 1, 2, -1)) * (-1) ** n
+    lhs = Poly((1, 2)) * _POW_SUM.at(n, (_W_POLY, 1, 2))[1] * (-1) ** n
     rhs = _W_POLY.at(n, 1) * _W_POLY.at(n + 1, 1) * (n * (n + 1) * (n + 2))
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
@@ -838,7 +838,7 @@ def _check_eq_4_12(point):
 
 def _check_eq_4_13(point):
     n = point
-    lhs = _POW_SUM.at(n, (_S_POLY, (), 2, 1))
+    lhs = _POW_SUM.at(n, (_S_POLY, (), 2))[0]
     rhs = Poly(_expand_in_y([(n + k + 1) * comb(n + 1, k + 1) * comb(n + k, k) * comb(2 * k, k + 1)
                              for k in range(1, n + 1)]))
     if lhs != rhs:
@@ -924,21 +924,21 @@ def _integrality_witness(poly: Poly, g: int, den: int):
     return None
 
 
-# part -> (family, sign, prefactor g(m, n), h_lo, h_hi or None for h_max):
-# g/(n(n+1)(n+2)) times _POW_SUM of (family, h, m, sign) lies in Z[x]
+# part -> (family, half, prefactor g(m, n), h_lo, h_hi or None for h_max): g/(n(n+1)(n+2))
+# times half 0 (plain) or 1 (alternating) of _POW_SUM at (family, h, m) lies in Z[x]
 _INTEGRALITY_PARTS = {
-    "5.4": (_W_POLY, 1, lambda m, n: gcd(2, n), 1, None),
-    "5.5": (_W_POLY, -1, lambda m, n: gcd(2, n), 1, 1),
-    "5.6": (_W_POLY, -1, lambda m, n: 1, 2, None),
-    "5.8": (_BIG_S_POLY, 1, lambda m, n: gcd(2, n), 1, None),
-    "5.9": (_BIG_S_POLY, -1, lambda m, n: gcd(2, m - 1, n), 1, None),
+    "5.4": (_W_POLY, 0, lambda m, n: gcd(2, n), 1, None),
+    "5.5": (_W_POLY, 1, lambda m, n: gcd(2, n), 1, 1),
+    "5.6": (_W_POLY, 1, lambda m, n: 1, 2, None),
+    "5.8": (_BIG_S_POLY, 0, lambda m, n: gcd(2, n), 1, None),
+    "5.9": (_BIG_S_POLY, 1, lambda m, n: gcd(2, m - 1, n), 1, None),
 }
 
 
 def _check_integrality(point):
     part, h, m, n = point
-    family, sign, prefactor, _, _ = _INTEGRALITY_PARTS[part]
-    total = _POW_SUM.at(n, (family, h, m, sign))
+    family, half, prefactor, _, _ = _INTEGRALITY_PARTS[part]
+    total = _POW_SUM.at(n, (family, h, m))[half]
     witness = _integrality_witness(total, prefactor(m, n), n * (n + 1) * (n + 2))
     if witness is not None:
         i, coef = witness

@@ -166,14 +166,14 @@ class Poly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("Poly power must be >= 0")
-        result = ONE
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
+        if not exp:
+            return ONE
+        # left to right over the bits below the top one, so no product with ONE
+        result = self
+        for bit in bin(exp)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __call__(self, x):

@@ -23,8 +23,8 @@ import motzkinlab
 from motzkinlab import claims, modular, sequences as seq, verify
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_divides_2_9,
                                _q_sum_2_9, s_quotient, t_quotient)
-from motzkinlab.polynomials import (Poly, ZERO, _fold, _mul_coeffs, _Packed, q_binomial,
-                                    q_integer, s_poly, w_poly)
+from motzkinlab.polynomials import (Poly, ZERO, _fold, _mul_coeffs, _Packed, big_schroder_poly,
+                                    q_binomial, q_integer, s_poly, w_poly)
 from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
@@ -146,6 +146,22 @@ _KEYED_SUMS = [
 def test_keyed_sum_matches_its_defining_sum(acc, key, oracle):
     cache = getattr(claims, acc)
     assert [cache.at(n, key) for n in range(1, 61)] == [oracle(n) for n in range(1, 61)]
+
+
+@pytest.mark.parametrize("family, h, poly", [
+    ("_W_POLY", 1, w_poly), ("_W_POLY", 2, w_poly),
+    ("_BIG_S_POLY", 1, big_schroder_poly), ("_BIG_S_POLY", 3, big_schroder_poly),
+    ("_S_POLY", (), lambda k, _h: s_poly(k)),
+])
+def test_power_sum_pair_matches_the_sums_of_each_sign(family, h, poly):
+    # one entry holds sum_{k=1..n} sign^k k(k+1)(2k+1) f_k^m for sign = 1 and -1
+    for m in (1, 2, 3):
+        sums = {1: ZERO, -1: ZERO}
+        for n in range(1, 13):
+            power = functools.reduce(lambda a, b: a * b, [poly(n, h)] * m)
+            for sign in sums:
+                sums[sign] = sums[sign] + power * (sign ** n * n * (n + 1) * (2 * n + 1))
+            assert claims._POW_SUM.at(n, (getattr(claims, family), h, m)) == (sums[1], sums[-1])
 
 
 class TestRegistry:
@@ -518,22 +534,42 @@ def _f28(k: int, l: int) -> Fraction:
             * (-3) ** (k - l))
 
 
+def _eq_2_8_term(n: int, j: int) -> Fraction:
+    return Fraction((-3) ** (n - j) * (4 * n - 2 * j + 1)
+                    * factorial(n + j + 3) * factorial(2 * j + 3),
+                    (n + 2) * factorial(n - j) * (j + 2) * factorial(j + 1) ** 4)
+
+
 def _eq_2_8_rhs(n: int) -> Fraction:
     rhs = Fraction(1 + (4 * n + 3) * (-3) ** (n + 1))
     for j in range(n + 1):
-        rhs += Fraction((-3) ** (n - j) * (4 * n - 2 * j + 1)
-                        * factorial(n + j + 3) * factorial(2 * j + 3),
-                        (n + 2) * factorial(n - j) * (j + 2) * factorial(j + 1) ** 4)
+        rhs += _eq_2_8_term(n, j)
     return rhs
+
+
+def _eq_3_4_term(n: int, k: int) -> Fraction:
+    return Fraction(claims._a_coeff(n, k) * (-3) ** (n - k)
+                    * factorial(n + k) * factorial(2 * k),
+                    factorial(n - k - 1) * factorial(k) ** 4 * (k + 1))
 
 
 def _eq_3_4_rhs(n: int) -> Fraction:
     rhs = Fraction(0)
     for k in range(n):
-        rhs += Fraction(claims._a_coeff(n, k) * (-3) ** (n - k)
-                        * factorial(n + k) * factorial(2 * k),
-                        factorial(n - k - 1) * factorial(k) ** 4 * (k + 1))
+        rhs += _eq_3_4_term(n, k)
     return Fraction(2, 9) * rhs
+
+
+# The single sums of LEM-2.2 and LEM-3.2 term by term, as the lemmas state them.
+
+def _lem_2_2_term(n: int, k: int) -> int:
+    return ((4 * n - 2 * k + 3) * (n + k + 2) * comb(n + k + 1, 2 * k) * comb(2 * k, k)
+            * comb(2 * k + 1, k) * (-3) ** (n + 1 - k))
+
+
+def _lem_3_2_term(n: int, k: int) -> int:  # C(-n-1, k) = (-1)^k C(n+k, k)
+    return (comb(n - 1, k) * (-1) ** k * comb(n + k, k) * _cat(k) * 3 ** (n - 1 - k)
+            * claims._a_coeff(n, k))
 
 
 def _eq_4_11_rhs(b: int, c: int, delta: int, n: int) -> Fraction:
@@ -554,12 +590,25 @@ class TestScaledIntegerSides:
             assert claims._e28_row(n) == row
             assert claims._E28_LHS.at(n) == lhs
             if n:
-                base = 1 + (4 * n + 3) * (-3) ** (n + 1)
-                assert claims._eq_2_8_sum(n) == (n + 2) * (_eq_2_8_rhs(n) - base)
+                # EQ-2.8 reads LEM-2.2's single sum
+                assert claims._lem_2_2_sum(n) == (n + 2) * (_eq_2_8_rhs(n) - 1)
 
     def test_eq_3_4_single_sum(self):
+        # EQ-3.4 reads LEM-3.2's single sum
         for n in range(1, 16):
-            assert 2 * claims._eq_3_4_sum(n) == 9 * _eq_3_4_rhs(n)
+            assert 2 * (-1) ** n * n * claims._sum_3_3(n) == 3 * _eq_3_4_rhs(n)
+
+    def test_lem_2_2_term_is_n_plus_2_times_eq_2_8_term(self):
+        for n in range(41):
+            for j in range(n + 1):
+                assert _lem_2_2_term(n, j + 1) == (n + 2) * _eq_2_8_term(n, j), (n, j)
+            assert claims._lem_2_2_sum(n) == sum(_lem_2_2_term(n, k) for k in range(n + 2)), n
+
+    def test_eq_3_4_term_is_3_sign_n_times_lem_3_2_term(self):
+        for n in range(1, 41):
+            for k in range(n):
+                assert _eq_3_4_term(n, k) == 3 * (-1) ** n * n * _lem_3_2_term(n, k), (n, k)
+            assert claims._sum_3_3(n) == sum(_lem_3_2_term(n, k) for k in range(n)), n
 
     def test_eq_4_11_closed_form(self):
         # the small test grid, d = 0 at (2, 1) included, and both deltas
@@ -571,13 +620,15 @@ class TestScaledIntegerSides:
                         assert all(big_l % k == 0 for k in range(1, n + delta + 1))
                         assert total == 2 * big_l * _eq_4_11_rhs(b, c, delta, n)
 
-    @pytest.mark.parametrize("acc, check, point, rhs", [
-        ("_E28_LHS", claims._check_eq_2_8, 7, lambda: f"telescoped form = {_eq_2_8_rhs(7)}"),
-        ("_S411", claims._check_eq_4_11, (3, 2, 1, 5),
+    @pytest.mark.parametrize("acc, zero, check, point, rhs", [
+        ("_E28_LHS", 0, claims._check_eq_2_8, 7, lambda: f"telescoped form = {_eq_2_8_rhs(7)}"),
+        ("_E34_LHS", (0, 0), claims._check_eq_3_4, 7,
+         lambda: f"telescoped form = {_eq_3_4_rhs(7)}"),
+        ("_S411", 0, claims._check_eq_4_11, (3, 2, 1, 5),
          lambda: f"closed form = {_eq_4_11_rhs(3, 2, 1, 5)}"),
-    ], ids=["EQ-2.8", "EQ-4.11"])
-    def test_witness_text_is_the_rational_value(self, monkeypatch, acc, check, point, rhs):
-        monkeypatch.setattr(claims, acc, claims._Acc(0, lambda prev, n, key: 0))
+    ], ids=["EQ-2.8", "EQ-3.4", "EQ-4.11"])
+    def test_witness_text_is_the_rational_value(self, monkeypatch, acc, zero, check, point, rhs):
+        monkeypatch.setattr(claims, acc, claims._Acc(0, lambda prev, n, key: zero))
         kind, _, text = check(point)
         assert kind == "fail" and text == rhs()
 
@@ -710,8 +761,20 @@ class TestCachedRows:
     def test_eq_3_4_rows(self, monkeypatch):
         # the left side is the double sum whose inner rows come from the cache
         for n in range(1, 16):
-            text, _ = _fail_texts(monkeypatch, claims, "_eq_3_4_sum", claims._check_eq_3_4, n)
+            text, _ = _fail_texts(monkeypatch, claims, "_sum_3_3", claims._check_eq_3_4, n)
             assert text == f"double sum = {_eq_3_4_lhs(n)}", n
+
+    def test_eq_3_4_pair(self):
+        # the running pair U(n) = sum_k (2k+1) 3^(n-k) R_k, V(n) = sum_k (2k+1) c(k) R_k
+        def r(k):
+            return sum(comb(k + l, 2 * l) * comb(2 * l, l) ** 2 * (-3) ** (k - l)
+                       for l in range(k + 1))
+
+        for n in range(16):
+            u = sum((2 * k + 1) * 3 ** (n - k) * r(k) for k in range(n + 1))
+            v = sum((2 * k + 1) * (16 * k * k - 30 * k + 21) * r(k) for k in range(n + 1))
+            assert claims._E34_LHS.at(n) == (u, v), n
+            assert (16 * n * n - 30 * n + 21) * u - v == _eq_3_4_lhs(n), n
 
     def test_lem_2_1_a_polynomial(self, monkeypatch):
         monkeypatch.setattr(claims, "_S_POLY", seq._PrefixCache(
@@ -785,7 +848,7 @@ class TestConjecture53Interpretations:
         # (5.9) read with gcd(2^(m-1), n): at m = 1 the alternating S^(1) sum
         # times 1/(n(n+1)(n+2)) is integral at n = 1 but not at n = 2
         def witness(n, m=1):
-            total = claims._POW_SUM.at(n, (claims._BIG_S_POLY, 1, m, -1))
+            total = claims._POW_SUM.at(n, (claims._BIG_S_POLY, 1, m))[1]
             return claims._integrality_witness(total, gcd(2 ** (m - 1), n), n * (n + 1) * (n + 2))
 
         assert witness(1) is None
@@ -856,6 +919,36 @@ def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, depende
     try:
         table.prefix(40, key)
         table._data[key][7] += 1
+        assert statuses() == dict.fromkeys(dependents, "counterexample")
+    finally:
+        seq._reset_caches()
+    assert statuses() == dict.fromkeys(dependents, "verified")
+
+
+@pytest.mark.parametrize("acc, key, half, dependents", [
+    (claims._E34_LHS, (), 0, ("EQ-3.4",)),
+    (claims._E34_LHS, (), 1, ("EQ-3.4",)),
+    # the plain half of (w, h, m) feeds part 5.4, the alternating half part
+    # 5.5 at h = 1 (and LEM-4.6 at m = 2) and part 5.6 at h >= 2
+    (claims._POW_SUM, (claims._W_POLY, 1, 2), 0, ("CONJ-5.2.abc",)),
+    (claims._POW_SUM, (claims._W_POLY, 1, 2), 1, ("CONJ-5.2.abc", "LEM-4.6")),
+    (claims._POW_SUM, (claims._W_POLY, 2, 3), 1, ("CONJ-5.2.abc",)),
+    (claims._POW_SUM, (claims._BIG_S_POLY, 2, 2), 0, ("CONJ-5.3.ab",)),
+    (claims._POW_SUM, (claims._BIG_S_POLY, 2, 2), 1, ("CONJ-5.3.ab",)),
+    (claims._POW_SUM, (claims._S_POLY, (), 2), 0, ("EQ-4.13",)),
+], ids=["U", "V", "w1-plain", "w1-alt", "w2-alt", "S2-plain", "S2-alt", "s-plain"])
+def test_perturbed_pair_half_is_caught_and_reset_clears_it(acc, key, half, dependents):
+    """One half of a running pair's entry 7, plus 1, must refute every claim
+    that reads that half; after the one reset the same claims verify again."""
+    def statuses():
+        return {cid: verify_claim(cid, _SMALL_AT_3_2).status for cid in dependents}
+
+    seq._reset_caches()
+    try:
+        acc.prefix(20, key)
+        entry = list(acc._data[key][7])
+        entry[half] = entry[half] + 1
+        acc._data[key][7] = tuple(entry)
         assert statuses() == dict.fromkeys(dependents, "counterexample")
     finally:
         seq._reset_caches()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motzkinlab import sequences as seq
+from motzkinlab import polynomials, sequences as seq
 from motzkinlab.polynomials import (DivisionByZeroPolynomial, NotDivisible,
                                     Poly, ZERO, ONE, _binomial_transform, _expand_in_y,
                                     big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
@@ -45,6 +45,23 @@ class TestRingOps:
         p = Poly((1, 1))
         expected = p * p * p
         assert p ** 3 == expected == Poly((1, 3, 3, 1))
+
+    @pytest.mark.parametrize("p", [Poly((1, 1)), Poly((2, -3, 0, 5)), Poly((7,)), ZERO])
+    def test_power_is_the_repeated_product(self, p):
+        expected = ONE
+        for e in range(7):
+            assert p ** e == expected, e
+            expected = expected * p
+
+    @pytest.mark.parametrize("exp, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_power_forms_no_product_with_one(self, monkeypatch, exp, products):
+        # left-to-right binary powering from p: one squaring per bit below
+        # the top one and one product per set bit among them
+        calls = []
+        mul = polynomials._mul_coeffs
+        monkeypatch.setattr(polynomials, "_mul_coeffs", lambda a, b: calls.append(1) or mul(a, b))
+        Poly((2, -3, 0, 5)) ** exp
+        assert len(calls) == products
 
     def test_scalar_and_fraction_ops(self):
         p = Poly((1, 2))
