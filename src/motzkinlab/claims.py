@@ -4,7 +4,7 @@ Every numbered identity, divisibility, congruence, and conjecture over the
 sequence/polynomial families is registered here as a ``Claim``: a parameter
 ``Grid`` plus an exact-arithmetic point checker returning ``("ok", derived)``
 or ``("fail", lhs, rhs)``; grids yield ``Skip`` outside a claim's domain,
-and the engine in ``verify`` joins the report parts of point chunks in order.
+and the engine in ``verify`` joins the report parts of point blocks in order.
 
 Four deliberately broken variants (MUT-*) are registered alongside the real
 claims; they must produce counterexamples and exist to prove the verifiers

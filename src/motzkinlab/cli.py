@@ -9,8 +9,9 @@ internal error (an exception raised while checking), reported as one
 "error: internal error: ..." line and its traceback on stderr, never as a
 refutation.  --jobs above the number of usable CPUs is lowered to it;
 reports do not depend on --jobs.  --stop-on-first ends the run at the first
-counterexample: no later point of that claim and no later claim is checked,
-for verify with several ids as for suite.
+counterexample: no later claim is checked, for verify with several ids as
+for suite, and a serial run checks no later point of that claim (with
+--jobs, each pool task of the claim stops at its own first counterexample).
 """
 from __future__ import annotations
 

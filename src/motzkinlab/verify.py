@@ -1,20 +1,23 @@
 """Claim verification engine: ordered, optionally parallel point evaluation
 with deterministic report assembly, plus the named claim suites.
 
-A chunk of consecutive points is checked by ``_eval_chunk``, which returns
+A block of consecutive points is checked by ``_eval_chunk``, which returns
 its part of the report: the checked count, the skips, the table rows and
-the counterexamples.  A serial run is one part; a parallel one sends
-contiguous slices to a process pool and joins their parts in input order,
-so a report's content is identical for any worker count.  ``run_claims``
-runs any list of claims, a suite's included, and owns the only pool.
-``stop_on_first`` stops the evaluation at the first counterexample: each
-chunk ends at its first one, the join ends with the first part that has
-one, chunks not yet started are cancelled, and no later claim runs.
+the counterexamples.  A serial run is one part.  A parallel one cuts the
+points into ``4·jobs`` contiguous blocks and sends one task per worker:
+task ``w`` checks blocks ``w, w + jobs, w + 2·jobs, …`` in turn
+(``_eval_blocks``).  The parts are joined in block order, so a report's
+content is identical for any worker count.  ``run_claims`` runs any list of
+claims, a suite's included, and owns the only pool.  ``stop_on_first`` stops
+the evaluation at the first counterexample.  In a pooled run every task
+starts at once, and each stops at its own first counterexample.  The join
+drops the parts after the first block with one, and no later claim runs.
 """
 from __future__ import annotations
 
 import itertools
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .claims import CLAIMS, Claim, Skip
@@ -27,6 +30,11 @@ class UnknownClaim(LookupError):
 
 class UnknownSuite(LookupError):
     pass
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a pool worker; it is the
+    cause of that exception when the parent re-raises it."""
 
 
 # each suite lists its claims in registration order; "all" is the four in turn
@@ -106,13 +114,52 @@ def _join(parts, stop_on_first: bool) -> tuple:
     return checked, skipped, table[:_TABLE_CAP], counterexamples
 
 
+def _eval_blocks(claim_id: str, blocks: list, stop_on_first: bool = False) -> tuple:
+    """Check blocks of a claim's points in order (one pool task) and return
+    ``(parts, error)``: the part of each block checked, then ``None`` or, for
+    a block that raised, ``(exception, traceback text)``.  The task stops at
+    a block that raises, and with ``stop_on_first`` after a block with a
+    counterexample."""
+    parts = []
+    for block in blocks:
+        try:
+            part = _eval_chunk(claim_id, block, stop_on_first)
+        except Exception as exc:
+            return parts, (exc, traceback.format_exc())
+        parts.append(part)
+        if stop_on_first and part[3]:
+            break
+    return parts, None
+
+
+def _block_parts(futures):
+    """Yield the parts of the blocks in order: block ``i`` is entry
+    ``i // len(futures)`` of task ``i % len(futures)``.  A block that raised
+    in its task raises here, when the join reaches it."""
+    for i in itertools.count():
+        parts, error = futures[i % len(futures)].result()
+        k = i // len(futures)
+        if k < len(parts):
+            yield parts[k]
+        elif error is not None:
+            exc, text = error
+            raise exc from _WorkerTraceback(text)
+        else:  # past the last block
+            return
+
+
 def verify_claim(claim_id: str, overrides: dict | None = None, *,
                  deep: bool = False, stop_on_first: bool = False, jobs: int = 1,
                  executor: ProcessPoolExecutor | None = None) -> VerificationReport:
     """Evaluate one claim over its (possibly overridden) parameter range.
 
-    With ``jobs > 1`` a claim of more than 8 points is checked in ``4·jobs``
-    chunks on ``executor``; without one, ``run_claims`` starts the pool.
+    With ``jobs > 1`` a claim of more than 8 points is cut into ``4·jobs``
+    contiguous blocks, and ``executor`` gets one task per worker, each with
+    every ``jobs``-th block; without an executor, ``run_claims`` starts the
+    pool.  With ``stop_on_first`` each task stops at its own first
+    counterexample, and the join drops the parts after the first one.  A
+    block that raises is re-raised only when the join reaches it, so a
+    pooled run raises exactly when the serial run does.
     """
     if jobs > 1 and executor is None:
         return run_claims([claim_id], overrides, deep=deep, stop_on_first=stop_on_first,
@@ -124,9 +171,10 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
     points = list(claim.grid.points(rng))
     if jobs > 1 and len(points) > 8:
         size = -(-len(points) // (jobs * 4))
-        futures = [executor.submit(_eval_chunk, claim.id, points[lo:lo + size], stop_on_first)
-                   for lo in range(0, len(points), size)]
-        parts = (future.result() for future in futures)
+        blocks = [points[lo:lo + size] for lo in range(0, len(points), size)]
+        tasks = min(jobs, len(blocks))
+        parts = _block_parts([executor.submit(_eval_blocks, claim.id, blocks[w::tasks],
+                                              stop_on_first) for w in range(tasks)])
     else:
         parts = [_eval_chunk(claim.id, points, stop_on_first)]
     checked, skipped, table, counterexamples = _join(parts, stop_on_first)
@@ -176,7 +224,7 @@ def run_claims(claim_ids, overrides: dict | None = None, *, deep: bool = False,
                                         executor=executor))
             if stop_on_first and reports[-1].status == "counterexample":
                 break
-    finally:  # chunks not started when a claim stops or raises are not needed
+    finally:  # tasks not started when a claim stops or raises are not needed
         if executor is not None:
             executor.shutdown(cancel_futures=True)
     return reports

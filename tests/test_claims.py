@@ -1270,26 +1270,75 @@ class TestEngine:
                      for lo in range(0, len(points), size)]
             assert verify._join(parts, stop_on_first) == whole, size
 
+    class InlineExecutor:
+        """Runs each submitted call at once and hands back its finished
+        future, the call's exception stored in it, so the pooled path runs
+        without processes."""
+
+        def __init__(self):
+            self.submitted = 0
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
     @pytest.mark.parametrize("claim_id, overrides, stop_on_first", _CHUNK_CASES)
     def test_pooled_join_matches_serial(self, claim_id, overrides, stop_on_first):
-        class InlineExecutor:
-            """Runs each submitted call at once and hands back its finished
-            future, so the pooled path runs without processes."""
-            submitted = 0
-
-            def submit(self, fn, *args):
-                self.submitted += 1
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        inline = InlineExecutor()
+        claim = CLAIMS[claim_id]
+        count = len(list(claim.grid.points(verify.effective_range(claim, overrides))))
+        size = -(-count // 12)  # 4·jobs blocks at jobs = 3
+        inline = self.InlineExecutor()
         pooled = verify_claim(claim_id, overrides, stop_on_first=stop_on_first, jobs=3,
                               executor=inline)
         serial = verify_claim(claim_id, overrides, stop_on_first=stop_on_first)
-        assert inline.submitted > 1
+        assert inline.submitted == min(3, -(-count // size)) > 1  # one task per worker
         assert (reports_to_json([pooled], include_elapsed=False)
                 == reports_to_json([serial], include_elapsed=False))
+
+    # THM-1.1.i at n_max = 25 and jobs = 2: blocks of 4 points (n = 1..4,
+    # 5..8, 9..12, ...); task 0 checks blocks 0, 2, 4, 6 and task 1 blocks 1, 3, 5
+    def _broken_checker(self, monkeypatch, fail_at, raise_at):
+        claim = CLAIMS["THM-1.1.i"]
+
+        def check(n):
+            if n == fail_at:
+                return ("fail", "lhs", "rhs")
+            if n in raise_at:
+                raise ValueError(f"checker broke at n = {n}")
+            return claim.check(n)
+
+        monkeypatch.setitem(CLAIMS, claim.id, dataclasses.replace(claim, check=check))
+
+    def test_pooled_stop_on_first_ends_before_a_later_raise(self, monkeypatch):
+        # the first counterexample (n = 5) is in task 1's block 1; task 0
+        # raises in its block 2 (n = 11), which the serial run never reaches
+        self._broken_checker(monkeypatch, fail_at=5, raise_at={11})
+        inline = self.InlineExecutor()
+        pooled = verify_claim("THM-1.1.i", {"n_max": 25}, stop_on_first=True, jobs=2,
+                              executor=inline)
+        serial = verify_claim("THM-1.1.i", {"n_max": 25}, stop_on_first=True)
+        assert inline.submitted == 2
+        assert serial.counterexamples == [{"params": {"n": 5}, "lhs": "lhs", "rhs": "rhs"}]
+        assert (reports_to_json([pooled], include_elapsed=False)
+                == reports_to_json([serial], include_elapsed=False))
+
+    def test_pooled_run_raises_what_the_serial_run_raises(self, monkeypatch):
+        # task 1 raises in block 1 (n = 6), task 0 in block 2 (n = 10); the
+        # serial run raises at n = 6, and so must the join
+        self._broken_checker(monkeypatch, fail_at=None, raise_at={6, 10})
+        with pytest.raises(ValueError) as serial:
+            verify_claim("THM-1.1.i", {"n_max": 25})
+        with pytest.raises(ValueError) as pooled:
+            verify_claim("THM-1.1.i", {"n_max": 25}, jobs=2, executor=self.InlineExecutor())
+        assert str(serial.value) == str(pooled.value) == "checker broke at n = 6"
+        cause = str(pooled.value.__cause__)
+        assert cause.startswith("Traceback") and "in check" in cause
+        assert "ValueError: checker broke at n = 6" in cause
 
 
 class TestReportSerialization:
