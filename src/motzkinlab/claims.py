@@ -27,8 +27,11 @@ class NonIntegral(ArithmeticError):
     """An exact quotient that the claims guarantee to be integral was not."""
 
     def __init__(self, message: str, remainder):
-        super().__init__(message)
+        super().__init__(message, remainder)  # both arguments, so it pickles across the pool
         self.remainder = remainder
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +68,8 @@ class _Acc(seq._PrefixCache):
     """Cached accumulator A(n) = step(A(n-1), n, key) with A(start-1) = init."""
 
     def __init__(self, start: int, step, init=0):
-        super().__init__(lambda prefix, n, key: step(prefix[-1], n, key) if prefix else init,
-                         start - 1)
+        super().__init__(lambda prefix, n, key: step(prefix[n - start], n, key) if n >= start
+                         else init, start - 1)
 
     # A binding of its own, so accumulator lookups can be traced apart from
     # the sequence tables and the other caches.
@@ -176,6 +179,8 @@ _T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-3.1.b, LEM-4.1
     comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n + 1)))
 _M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # REM-2.1, EQ-2.8, LEM-2.1.a
     comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1) for k in range(1, n + 2)))
+_T2W_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-4.1: (n-j) times entry j < n
+    (n - j) * w for j, w in enumerate(_T2_ROW.at(n)[:n])), start=1)
 _EQ411_ROW = seq._PrefixCache(_eq_4_11_row, start=1)  # (L, row) keyed by delta: EQ-4.11
 # LEM-4.4.b: entry k-1 is sum_j C(n-j,k-j) (-1)^(k-j) w(n,j) (LEM-4.4.a reads s_n)
 _W_INVERSE_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_binomial_transform(
@@ -725,7 +730,7 @@ def _check_lem_3_4(point):
 def _check_lem_4_1(point):
     b, c, n = point
     lhs = n * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c)
-    rhs = b * _hom_eval([(n - j) * w for j, w in enumerate(_T2_ROW.at(n)[:n])], c, b * b - 4 * c)
+    rhs = b * _hom_eval(_T2W_ROW.at(n), c, b * b - 4 * c)
     if lhs != rhs:
         return _fail(f"n*T_n*T_(n-1) = {lhs}", f"b*sum = {rhs}")
     return _ok()

@@ -22,8 +22,11 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division failed; carries the offending remainder."""
 
     def __init__(self, message: str, remainder: "Poly"):
-        super().__init__(message)
+        super().__init__(message, remainder)  # both arguments, so it pickles across the pool
         self.remainder = remainder
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def _mul_coeffs(a, b) -> list:
@@ -105,6 +108,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     @property
     def degree(self):
@@ -278,7 +284,7 @@ def _q_binomial_row(rows: list, m: int, _key) -> list[Poly]:
     """Row m of the q-Pascal triangle from row m - 1."""
     if m == 0:
         return [ONE]
-    prev = rows[-1]
+    prev = rows[m - 1]
     row = [ONE]
     for j in range(1, m):
         a = prev[j].coeffs

@@ -18,15 +18,17 @@ W(x) = -(1 - 2x - 3x^2) T(x) / (1 - x)^2, not through the recurrence the
 verifier checks for it (REC-W).
 
 All tables, and the other caches of the package, are ``_PrefixCache``
-instances: a lookup that hits takes no lock, a fill takes the cache's one
-lock, and ``_reset_caches()`` empties every one of them.  Values never
-depend on the cache state, and all functions are safe to call from multiple
-threads.
+instances, and ``_reset_caches()`` empties every one of them.  No cache
+takes a lock: a step reads the entries before its own by position, never
+from the end, and a fill stores entry k by the one slice assignment
+``vals[k:k + 1] = (value,)``.  Threads that fill the same entry compute it
+from the same entries, so they store equal values at the same position.
+Values never depend on the cache state, and all functions are safe to call
+from multiple threads.
 """
 from __future__ import annotations
 
 import math
-import threading
 
 _CACHES: list[_PrefixCache] = []
 
@@ -34,17 +36,18 @@ _CACHES: list[_PrefixCache] = []
 class _PrefixCache:
     """Keyed prefix cache: entry i of ``key`` is ``step(prefix, i, key)``.
 
-    Entries are filled in order from index ``start``; ``prefix`` is the list
-    of the key's entries ``start .. i-1``.  A step reads earlier entries only
-    through that list and never calls its own cache.  Every instance
-    registers with ``_reset_caches``.
+    Entries are filled in order from index ``start``; ``prefix`` is the
+    key's list, which holds entries ``start .. i-1`` and may hold more.  A
+    step reads entry j as ``prefix[j - start]``, never from the end, and
+    never calls its own cache.  A fill stores entry i by one slice
+    assignment, which appends it or overwrites an equal value that another
+    thread stored first.  Every instance registers with ``_reset_caches``.
     """
 
     def __init__(self, step, start: int = 0):
         self._step = step
         self._start = start
         self._data: dict = {}
-        self._lock = threading.Lock()
         _CACHES.append(self)
 
     def at(self, i: int, key=()):
@@ -63,18 +66,16 @@ class _PrefixCache:
     def _fill(self, i: int, key) -> list:
         if i < self._start:
             raise ValueError(f"cache index {i} below start {self._start}")
-        with self._lock:
-            vals = self._data.setdefault(key, [])
-            while len(vals) <= i - self._start:
-                vals.append(self._step(vals, self._start + len(vals), key))
+        vals = self._data.setdefault(key, [])
+        while (k := len(vals)) <= i - self._start:
+            vals[k:k + 1] = (self._step(vals, self._start + k, key),)
         return vals
 
 
 def _reset_caches() -> None:
     """Testing hook: empty every prefix cache of the package."""
     for cache in _CACHES:
-        with cache._lock:
-            cache._data.clear()
+        cache._data.clear()
 
 
 def binomial(n: int, k: int) -> int:
@@ -93,7 +94,7 @@ def binomial(n: int, k: int) -> int:
 
 
 def _catalan_step(cat: list, k: int, _key) -> int:
-    return cat[-1] * 2 * (2 * k - 1) // (k + 1) if k else 1
+    return cat[k - 1] * 2 * (2 * k - 1) // (k + 1) if k else 1
 
 
 _CATALAN = _PrefixCache(_catalan_step)
@@ -124,14 +125,14 @@ def _gen_trinomial_step(t: list, n: int, key: tuple[int, int]) -> int:
     b, c = key
     if n < 2:
         return b if n else 1
-    return ((2 * n - 1) * b * t[-1] - (n - 1) * (b * b - 4 * c) * t[-2]) // n
+    return ((2 * n - 1) * b * t[n - 1] - (n - 1) * (b * b - 4 * c) * t[n - 2]) // n
 
 
 def _gen_motzkin_step(m: list, n: int, key: tuple[int, int]) -> int:
     b, c = key
     if n < 2:
         return b if n else 1
-    return ((2 * n + 1) * b * m[-1] - (n - 1) * (b * b - 4 * c) * m[-2]) // (n + 2)
+    return ((2 * n + 1) * b * m[n - 1] - (n - 1) * (b * b - 4 * c) * m[n - 2]) // (n + 2)
 
 
 _GEN_TRINOMIAL = _PrefixCache(_gen_trinomial_step)
@@ -229,11 +230,11 @@ def w_coeff(n: int, k: int) -> int:
 
 def _motzkin_analog_w_step(w: list, n: int, _key) -> int:
     # W(x) = -sqrt(1 - 2x - 3x^2)/(1 - x)^2 and T(x) = 1/sqrt(1 - 2x - 3x^2), so
-    # (1 - x)^2 W(x) = -(1 - 2x - 3x^2) T(x); negative indices read as 0
-    t0, t1, t2 = (_GEN_TRINOMIAL.at(i, (1, 1)) if i >= 0 else 0 for i in (n, n - 1, n - 2))
-    w1 = w[-1] if n >= 1 else 0
-    w2 = w[-2] if n >= 2 else 0
-    return 2 * w1 - w2 - (t0 - 2 * t1 - 3 * t2)
+    # (1 - x)^2 W(x) = -(1 - 2x - 3x^2) T(x), which gives W_0 = W_1 = -1
+    if n < 2:
+        return -1
+    t = _GEN_TRINOMIAL.at
+    return 2 * w[n - 1] - w[n - 2] - (t(n, (1, 1)) - 2 * t(n - 1, (1, 1)) - 3 * t(n - 2, (1, 1)))
 
 
 _MOTZKIN_ANALOG_W = _PrefixCache(_motzkin_analog_w_step)

@@ -10,10 +10,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import multiprocessing
+import pickle
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
@@ -23,8 +25,8 @@ import motzkinlab
 from motzkinlab import claims, modular, sequences as seq, verify
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_divides_2_9,
                                _q_sum_2_9, s_quotient, t_quotient)
-from motzkinlab.polynomials import (Poly, ZERO, _fold, _mul_coeffs, _Packed, big_schroder_poly,
-                                    q_binomial, q_integer, s_poly, w_poly)
+from motzkinlab.polynomials import (NotDivisible, Poly, ZERO, _fold, _mul_coeffs, _Packed,
+                                    big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
 from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
@@ -753,6 +755,12 @@ class TestCachedRows:
                 _, text = _fail_texts(monkeypatch, seq, table, check, (n, k))
                 assert text == prefix + str(rhs(n, k)), (n, k)
 
+    def test_lem_4_1_weighted_row(self):
+        # entry j < n of LEM-4.1's row is n - j times entry j of LEM-3.1.b's
+        for n in range(1, 41):
+            assert claims._T2W_ROW.at(n) == tuple(
+                (n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n)), n
+
     def test_eq_4_11_sum(self):
         for b, c, n in _grid_small_points(1):
             for delta in (0, 1):
@@ -1085,6 +1093,69 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
     assert got == [expected] * (3 * n_threads)
 
 
+def test_concurrent_running_sum_fills_agree_with_the_sums():
+    # threads that fill one running sum entry by entry, by prefix() at once
+    # and by prefix() at each n, while its steps fill the T_n(b, c) tables,
+    # must all read the defining sums
+    keys = [(b, c) for b in (-3, 1, 2) for c in (-1, 1, 2)]
+    n_max, n_threads, rounds = 100, 6, 10
+    expected = {key: [sum((2 * k + 1) * _t_bc(k, *key) ** 2 * (4 * key[1] - key[0] ** 2)
+                          ** (n - 1 - k) for k in range(n)) for n in range(n_max + 1)]
+                for key in keys}
+    readers = [lambda key: [claims._S31.at(n, key) for n in range(n_max + 1)],
+               lambda key: claims._S31.prefix(n_max, key),
+               lambda key: [claims._S31.prefix(n, key)[-1] for n in range(n_max + 1)]]
+    got, errors = [], []
+
+    def work(start: threading.Barrier, read) -> None:
+        try:
+            start.wait()
+            for key in keys:
+                got.append((key, read(key)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            seq._reset_caches()
+            start = threading.Barrier(n_threads, timeout=60)
+            threads = [threading.Thread(target=work, args=(start, readers[i % len(readers)]))
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert {key: claims._S31.prefix(n_max, key) for key in keys} == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(got) == rounds * n_threads * len(keys)
+    assert all(values == expected[key] for key, values in got)
+
+
+def test_every_cached_entry_is_its_step_on_the_whole_list():
+    # A step reads the entries before its own by position, so entry j
+    # recomputed from the whole list, later entries included, is the stored
+    # one; a step that read from the end would read a later entry.  Each of
+    # the package's caches must be filled past two entries, so that each
+    # step reads one (tests register caches of their own as well).
+    seq._reset_caches()
+    try:
+        run_suite("all", {"n_max": 12, "prime_hi": 50})
+        for cache in [v for module in (seq, claims, motzkinlab.polynomials)
+                      for v in vars(module).values() if isinstance(v, seq._PrefixCache)]:
+            assert max(map(len, cache._data.values()), default=0) >= 3, cache._step
+        for cache in seq._CACHES:
+            for key, vals in list(cache._data.items()):
+                for j, value in enumerate(vals):
+                    assert cache._step(vals, cache._start + j, key) == value, (cache._step, key, j)
+    finally:
+        seq._reset_caches()
+
+
 class TestSqrtDClaim:
     def test_perfect_square_pairs(self):
         report = verify_claim("LEM-2.1.b", {"n_max": 20, "b_set": (3,), "c_set": (2, 0)})
@@ -1370,3 +1441,29 @@ class TestNonIntegralSignal:
         with pytest.raises(NonIntegral):
             raise NonIntegral("demo", 1)
         assert issubclass(NonIntegral, ArithmeticError)
+
+    @pytest.mark.parametrize("exc", [NonIntegral("demo", 1), NotDivisible("demo", Poly((1, 2)))],
+                             ids=["NonIntegral", "NotDivisible"])
+    def test_round_trip_through_pickle(self, exc):
+        # how a pool worker's exception reaches the parent
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back), back.remainder) == (type(exc), "demo", exc.remainder)
+
+    def test_pooled_run_re_raises_it_with_its_remainder(self, monkeypatch):
+        # THM-1.1.i at n_max = 25 and jobs = 2: n = 11 is in task 0's block 2
+        claim = CLAIMS["THM-1.1.i"]
+
+        def check(n):
+            if n == 11:
+                raise NonIntegral(f"remainder 7 at n = {n}", 7)
+            return claim.check(n)
+
+        monkeypatch.setitem(CLAIMS, claim.id, dataclasses.replace(claim, check=check))
+        with pytest.raises(NonIntegral) as serial:
+            verify_claim("THM-1.1.i", {"n_max": 25})
+        # forked workers see the patched registry
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+            with pytest.raises(NonIntegral) as pooled:
+                verify_claim("THM-1.1.i", {"n_max": 25}, jobs=2, executor=pool)
+        assert ((str(pooled.value), pooled.value.remainder)
+                == (str(serial.value), serial.value.remainder) == ("remainder 7 at n = 11", 7))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -214,6 +215,27 @@ class TestVerify:
         assert out == ""
         assert err.splitlines()[0] == "error: internal error: ZeroDivisionError: boom at 0"
         assert "Traceback (most recent call last):" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_integral_in_a_checker_exits_3_naming_it(self, capsys, monkeypatch, jobs):
+        # at --jobs 2 the exception crosses the pool, where it once broke it
+        claim = claims.CLAIMS["THM-1.1.i"]
+
+        def check(n):
+            if n == 11:
+                raise claims.NonIntegral(f"remainder 7 at n = {n}", 7)
+            return claim.check(n)
+
+        class ForkPool(verify.ProcessPoolExecutor):  # forked workers see the patched registry
+            def __init__(self, max_workers):
+                super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+        monkeypatch.setitem(claims.CLAIMS, claim.id, dataclasses.replace(claim, check=check))
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", ForkPool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, err = run_cli(capsys, "verify", "THM-1.1.i", "--n-max", "25", "--jobs", jobs)
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == "error: internal error: NonIntegral: remainder 7 at n = 11"
 
     def test_lucas_fold_disagreement_exits_3(self, capsys):
         # a wrong q-Lucas scalar refutes LEM-2.3 at n = 14 where the fold

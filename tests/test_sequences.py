@@ -281,7 +281,8 @@ class TestCaching:
             seq._CATALAN.at(-1)
 
     def test_concurrent_fills_agree_with_the_sums(self):
-        # Without the fill lock, a round like this often stores a wrong entry.
+        # A fill that appended, with steps that read their prefix from the end,
+        # often stored a wrong entry in a round like this.
         keys = [(b, c) for b in (-3, 1, 2, 4) for c in (-2, 1, 3)]
         n_max, n_threads = 200, 6
         expected = {key: [trinomial_sum(n, *key) for n in range(n_max + 1)] for key in keys}
