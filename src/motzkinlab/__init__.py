@@ -11,7 +11,7 @@ from .polynomials import (NotDivisible, Poly, big_schroder_poly, q_binomial,
                           q_integer, s_poly, w_poly)
 from .reports import (ParamRange, VerificationReport, reports_to_csv,
                       reports_to_json)
-from .sequences import (binomial, catalan, central_trinomial, delannoy,
+from .sequences import (catalan, central_trinomial, delannoy,
                         gen_motzkin, gen_trinomial, motzkin, motzkin_analog_w,
                         narayana, schroder_large, schroder_little, w_coeff)
 from .verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CLAIMS", "NonIntegral", "NotDivisible", "ParamRange", "Poly", "SUITES",
     "UnknownClaim", "UnknownSuite", "VerificationReport", "__version__",
-    "big_schroder_poly", "binomial", "catalan", "central_trinomial",
-    "delannoy", "gen_motzkin", "gen_trinomial", "motzkin",
-    "motzkin_analog_w", "narayana", "q_binomial", "q_integer",
-    "reports_to_csv", "reports_to_json", "run_suite", "s_poly", "s_quotient",
-    "schroder_large", "schroder_little", "t_quotient", "verify_claim",
-    "w_coeff", "w_poly",
+    "big_schroder_poly", "catalan", "central_trinomial", "delannoy",
+    "gen_motzkin", "gen_trinomial", "motzkin", "motzkin_analog_w", "narayana",
+    "q_binomial", "q_integer", "reports_to_csv", "reports_to_json",
+    "run_suite", "s_poly", "s_quotient", "schroder_large", "schroder_little",
+    "t_quotient", "verify_claim", "w_coeff", "w_poly",
 ]

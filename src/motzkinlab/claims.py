@@ -452,10 +452,13 @@ def _check_rem_2_1(point):
 
 def _lem_2_2_sum(n: int) -> int:
     """LEM-2.2's single sum_{k=0..n+1} (4n-2k+3)(n+k+2)C(n+k+1,2k)C(2k,k)C(2k+1,k)(-3)^(n+1-k),
-    with its terms in the cheaper form (k+1)C(n+k+2,2k+1)C(2k+1,k)^2.  Term k >= 1 is n+2
-    times EQ-2.8's factorial term j = k-1, (n+j+3)!(2j+3)!/((n-j)!(j+2)(j+1)!^4)."""
-    return sum((-3) ** (n + 1 - k) * (4 * n - 2 * k + 3) * (k + 1)
-               * comb(n + k + 2, 2 * k + 1) * comb(2 * k + 1, k) ** 2 for k in range(n + 2))
+    each term (k+1)C(n+k+2,2k+1)C(2k+1,k)^2 from the one before.  Term k >= 1 is n+2 times
+    EQ-2.8's factorial term j = k-1, (n+j+3)!(2j+3)!/((n-j)!(j+2)(j+1)!^4)."""
+    acc, t = 0, n + 2
+    for k in range(n + 2):
+        acc = acc * -3 + (4 * n - 2 * k + 3) * t
+        t = t * (n + k + 3) * (n - k + 1) * (4 * k + 6) // ((k + 1) ** 2 * (k + 2))
+    return acc
 
 
 def _check_lem_2_2(point):
@@ -636,11 +639,19 @@ def _check_lem_2_4(point):
     return _ok()
 
 
+def _eq_2_11_sum(n: int) -> int:
+    """sum_{k<n} C(n+1,k)C(n+k,k)C(2k,k)(k+2)(-3)^(n-1-k), each term from the one before."""
+    acc, t = 0, 1
+    for k in range(n):
+        acc = acc * -3 + (k + 2) * t
+        t = t * (n + 1 - k) * (n + k + 1) * (4 * k + 2) // (k + 1) ** 3
+    return acc
+
+
 def _check_eq_2_11(point):
     n = point
     lhs = 2 * _WSUM_M.at(n, 1)
-    rhs = 27 * sum(seq.binomial(n + 1, k) * comb(n + k, k) * comb(2 * k, k)
-                   * (k + 2) * (-3) ** (n - 1 - k) for k in range(n))
+    rhs = 27 * _eq_2_11_sum(n)
     if (lhs - rhs) % n:
         return _fail(f"2*sum = {lhs % n} (mod {n})", f"27*sum = {rhs % n} (mod {n})")
     return _ok()
@@ -668,10 +679,18 @@ def _check_lem_3_1_b(point):
     return _ok()
 
 
+def _lem_3_sum(n: int, a: int, b: int, weight) -> int:
+    """sum_{k<n} C(n-1,k)^a C(-n-1,k)^b Cat_k weight(n,k) 3^(n-1-k), each term from the one
+    before; LEM-3.4 reads it at weight (k+1)(k+2), since C(2k,k) = (k+1)Cat_k."""
+    acc, t = 0, 1
+    for k in range(n):
+        acc = acc * 3 + weight(n, k) * t
+        t = t * (n - 1 - k) ** a * (-n - 1 - k) ** b * (4 * k + 2) // ((k + 1) ** (a + b) * (k + 2))
+    return acc
+
+
 def _sum_3_3(n: int) -> int:
-    cat = seq.catalan_values(n)
-    return sum(seq.binomial(n - 1, k) * seq.binomial(-n - 1, k) * cat[k]
-               * 3 ** (n - 1 - k) * _a_coeff(n, k) for k in range(n))
+    return _lem_3_sum(n, 1, 1, _a_coeff)
 
 
 def _check_lem_3_2(point):
@@ -685,8 +704,7 @@ def _check_lem_3_2(point):
 
 def _check_lem_3_3(point):
     n = point
-    total = _sum_3_3(n)
-    ok, rem = _divides(total, n * n - 1)
+    ok, rem = _divides(_sum_3_3(n), n * n - 1)
     if not ok:
         return _fail(f"sum = {rem} (mod {n * n - 1})", "0 (mod n^2-1)")
     return _ok()
@@ -714,10 +732,7 @@ def _check_eq_3_4(point):
 
 def _check_lem_3_4(point):
     a, bexp, n = point
-    cb = [comb(2 * k, k) for k in range(n)]
-    total = sum(seq.binomial(n - 1, k) ** a * seq.binomial(-n - 1, k) ** bexp
-                * cb[k] * (k + 2) * 3 ** (n - 1 - k) for k in range(n))
-    ok, rem = _divides(total, 2 * n)
+    ok, rem = _divides(_lem_3_sum(n, a, bexp, lambda _n, k: (k + 1) * (k + 2)), 2 * n)
     if not ok:
         return _fail(f"sum = {rem} (mod {2 * n})", "0 (mod 2n)")
     return _ok()

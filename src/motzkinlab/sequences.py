@@ -29,8 +29,9 @@ from multiple threads.
 from __future__ import annotations
 
 import math
+import weakref
 
-_CACHES: list[_PrefixCache] = []
+_CACHES: weakref.WeakSet[_PrefixCache] = weakref.WeakSet()
 
 
 class _PrefixCache:
@@ -41,14 +42,14 @@ class _PrefixCache:
     step reads entry j as ``prefix[j - start]``, never from the end, and
     never calls its own cache.  A fill stores entry i by one slice
     assignment, which appends it or overwrites an equal value that another
-    thread stored first.  Every instance registers with ``_reset_caches``.
+    thread stored first.  Every instance registers, weakly, with ``_reset_caches``.
     """
 
     def __init__(self, step, start: int = 0):
         self._step = step
         self._start = start
         self._data: dict = {}
-        _CACHES.append(self)
+        _CACHES.add(self)
 
     def at(self, i: int, key=()):
         """Entry i of ``key``."""
@@ -76,21 +77,6 @@ def _reset_caches() -> None:
     """Testing hook: empty every prefix cache of the package."""
     for cache in _CACHES:
         cache._data.clear()
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with arbitrary integer upper index.
-
-    For n >= 0 this is the ordinary C(n, k); for n < 0 it is the value of
-    the falling-factorial product n(n-1)...(n-k+1)/k!, which equals
-    (-1)^k * C(k - n - 1, k).
-    """
-    if k < 0:
-        raise ValueError("binomial: k must be >= 0")
-    if n >= 0:
-        return math.comb(n, k)
-    v = math.comb(k - n - 1, k)
-    return -v if k & 1 else v
 
 
 def _catalan_step(cat: list, k: int, _key) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -15,6 +16,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
@@ -574,6 +576,17 @@ def _lem_3_2_term(n: int, k: int) -> int:  # C(-n-1, k) = (-1)^k C(n+k, k)
             * claims._a_coeff(n, k))
 
 
+# The single sums of EQ-2.11 and LEM-3.4 term by term, as the claims state them.
+
+def _eq_2_11_term(n: int, k: int) -> int:
+    return comb(n + 1, k) * comb(n + k, k) * comb(2 * k, k) * (k + 2) * (-3) ** (n - 1 - k)
+
+
+def _lem_3_4_term(n: int, k: int, a: int, b: int) -> int:
+    return (comb(n - 1, k) ** a * ((-1) ** k * comb(n + k, k)) ** b * comb(2 * k, k) * (k + 2)
+            * 3 ** (n - 1 - k))
+
+
 def _eq_4_11_rhs(b: int, c: int, delta: int, n: int) -> Fraction:
     d = b * b - 4 * c
     return Fraction(b, 2) * (n * (n + 1)) ** (delta + 1) * sum(
@@ -611,6 +624,20 @@ class TestScaledIntegerSides:
             for k in range(n):
                 assert _eq_3_4_term(n, k) == 3 * (-1) ** n * n * _lem_3_2_term(n, k), (n, k)
             assert claims._sum_3_3(n) == sum(_lem_3_2_term(n, k) for k in range(n)), n
+
+    def test_eq_2_11_sum(self):
+        for n in range(61):
+            assert claims._eq_2_11_sum(n) == sum(_eq_2_11_term(n, k) for k in range(n)), n
+
+    def test_lem_3_sum_at_every_exponent_pair(self):
+        # LEM-3.4 reads LEM-3.2's family at weight (k+1)(k+2), since C(2k,k) = (k+1)Cat_k.
+        # No claim reads an odd a + b, but these pin the sign of (k+1)^(a+b) as well,
+        # and at a = 0 no factor of the ratio reaches 0 inside the range.
+        for a in range(4):
+            for b in range(4):
+                for n in range(61):
+                    got = claims._lem_3_sum(n, a, b, lambda _n, k: (k + 1) * (k + 2))
+                    assert got == sum(_lem_3_4_term(n, k, a, b) for k in range(n)), (a, b, n)
 
     def test_eq_4_11_closed_form(self):
         # the small test grid, d = 0 at (2, 1) included, and both deltas
@@ -933,6 +960,23 @@ def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, depende
     assert statuses() == dict.fromkeys(dependents, "verified")
 
 
+@pytest.mark.parametrize("helper, dependents", [
+    ("_eq_2_11_sum", ("EQ-2.11",)),
+    ("_lem_2_2_sum", ("LEM-2.2", "EQ-2.8")),
+    # _sum_3_3 reads it at a = b = 1, LEM-3.4 at its own exponents and weight
+    ("_lem_3_sum", ("LEM-3.2", "LEM-3.3", "EQ-3.4", "LEM-3.4")),
+])
+def test_perturbed_single_sum_is_caught(monkeypatch, helper, dependents):
+    """A single sum plus 1 at n = 7 must refute every claim that reads it,
+    at n = 7 and nowhere else."""
+    real = getattr(claims, helper)
+    monkeypatch.setattr(claims, helper, lambda n, *args: real(n, *args) + (n == 7))
+    for cid in dependents:
+        report = verify_claim(cid, _SMALL_AT_3_2)
+        assert report.status == "counterexample", cid
+        assert {c["params"]["n"] for c in report.counterexamples} == {7}, cid
+
+
 @pytest.mark.parametrize("acc, key, half, dependents", [
     (claims._E34_LHS, (), 0, ("EQ-3.4",)),
     (claims._E34_LHS, (), 1, ("EQ-3.4",)),
@@ -1148,12 +1192,27 @@ def test_every_cached_entry_is_its_step_on_the_whole_list():
         for cache in [v for module in (seq, claims, motzkinlab.polynomials)
                       for v in vars(module).values() if isinstance(v, seq._PrefixCache)]:
             assert max(map(len, cache._data.values()), default=0) >= 3, cache._step
-        for cache in seq._CACHES:
+        for cache in list(seq._CACHES):
             for key, vals in list(cache._data.items()):
                 for j, value in enumerate(vals):
                     assert cache._step(vals, cache._start + j, key) == value, (cache._step, key, j)
     finally:
         seq._reset_caches()
+
+
+def test_a_dropped_cache_leaves_the_registry():
+    # _CACHES holds its caches weakly, so a cache that a test builds and
+    # drops is not walked by _reset_caches ever after
+    gc.collect()
+    before = len(seq._CACHES)
+    cache = seq._PrefixCache(lambda _prefix, n, _key: n)
+    assert cache.at(3) == 3 and cache in seq._CACHES
+    seq._reset_caches()
+    assert cache._data == {}
+    alive = weakref.ref(cache)
+    del cache
+    gc.collect()
+    assert alive() is None and len(seq._CACHES) == before
 
 
 class TestSqrtDClaim:

@@ -12,8 +12,6 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from motzkinlab import sequences as seq
 
@@ -43,33 +41,6 @@ def poly_power_coeffs(base: list[int], exp: int) -> list[int]:
                     nxt[i + j] += x * y
         out = nxt
     return out
-
-
-class TestBinomial:
-    def test_small_pascal_entry(self):
-        assert seq.binomial(4, 2) == 6
-
-    @pytest.mark.parametrize("n", [-7, -1, 0, 3, 12])
-    def test_k_zero(self, n):
-        assert seq.binomial(n, 0) == 1
-
-    def test_negative_upper_index(self):
-        # product formula (-3)(-4)/2
-        assert seq.binomial(-3, 2) == 6
-
-    def test_negative_upper_vs_reflection(self):
-        for n in range(-12, 0):
-            for k in range(0, 12):
-                assert seq.binomial(n, k) == (-1) ** k * math.comb(k - n - 1, k)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            seq.binomial(3, -1)
-
-    @given(st.integers(-40, 40), st.integers(1, 30))
-    @settings(max_examples=200, deadline=None)
-    def test_pascal_recurrence(self, n, k):
-        assert seq.binomial(n, k) == seq.binomial(n - 1, k) + seq.binomial(n - 1, k - 1)
 
 
 class TestCatalan:
@@ -245,7 +216,7 @@ class TestWCoeff:
     def test_inversion_against_narayana(self):
         for n in range(1, 41):
             for k in range(1, n + 1):
-                total = sum(seq.binomial(n - j, k - j) * seq.narayana(n, j)
+                total = sum(math.comb(n - j, k - j) * seq.narayana(n, j)
                             for j in range(1, k + 1))
                 assert seq.w_coeff(n, k) == total
 
