@@ -168,17 +168,28 @@ def _hom_eval(weights: Iterable[int], c, d):
     return acc
 
 
+def _ratio_row(t: int, ks: Iterable[int], ratio):
+    """The terms t_k for k in ks, t_(k+1) = t_k * num // den with (num, den) = ratio(k) (A = B,
+    ch. 3).  The numerator is multiplied first and carries the sign, so each division is exact."""
+    for k in ks:
+        yield t
+        num, den = ratio(k)
+        t = t * num // den
+
+
 def _eq_4_11_row(_prefix, n: int, delta: int) -> tuple[int, tuple[int, ...]]:
-    big_l = lcm(*range(1, n + delta + 1))
-    return big_l, tuple(comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j)
-                        * (big_l // (j + delta + 1)) for j in range(n))
+    big_l = lcm(*range(1, n + delta + 1))  # C(n-1,j)C(n+j+1,j)C(2j,j) times L/(j+delta+1)
+    return big_l, tuple(t * (big_l // (j + delta + 1)) for j, t in enumerate(_ratio_row(
+        1, range(n), lambda j: ((n - 1 - j) * (n + j + 2) * (4 * j + 2), (j + 1) ** 3))))
 
 
-# coefficient rows of the (b, c)-sums, keyed by n alone and evaluated at (c, d) by _hom_eval
-_T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-3.1.b, LEM-4.1, EQ-3.4
-    comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n + 1)))
-_M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # REM-2.1, EQ-2.8, LEM-2.1.a
-    comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1) for k in range(1, n + 2)))
+# coefficient rows of the (b, c)-sums, keyed by n alone and evaluated at (c, d) by _hom_eval:
+# C(n+j,2j)C(2j,j)^2 for j = 0..n, and C(n+k+1,2k)C(2k,k)C(2k,k+1) for k = 1..n+1
+_T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_ratio_row(  # LEM-3.1.b, LEM-4.1, EQ-3.4
+    1, range(n + 1), lambda j: ((n + j + 1) * (n - j) * (4 * j + 2), (j + 1) ** 3))))
+_M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_ratio_row(  # REM-2.1, EQ-2.8, LEM-2.1.a
+    (n + 1) * (n + 2), range(1, n + 2),
+    lambda k: ((n + k + 2) * (n - k + 1) * (4 * k + 2), k * (k + 1) * (k + 2)))))
 _T2W_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-4.1: (n-j) times entry j < n
     (n - j) * w for j, w in enumerate(_T2_ROW.at(n)[:n])), start=1)
 _EQ411_ROW = seq._PrefixCache(_eq_4_11_row, start=1)  # (L, row) keyed by delta: EQ-4.11
@@ -454,11 +465,8 @@ def _lem_2_2_sum(n: int) -> int:
     """LEM-2.2's single sum_{k=0..n+1} (4n-2k+3)(n+k+2)C(n+k+1,2k)C(2k,k)C(2k+1,k)(-3)^(n+1-k),
     each term (k+1)C(n+k+2,2k+1)C(2k+1,k)^2 from the one before.  Term k >= 1 is n+2 times
     EQ-2.8's factorial term j = k-1, (n+j+3)!(2j+3)!/((n-j)!(j+2)(j+1)!^4)."""
-    acc, t = 0, n + 2
-    for k in range(n + 2):
-        acc = acc * -3 + (4 * n - 2 * k + 3) * t
-        t = t * (n + k + 3) * (n - k + 1) * (4 * k + 6) // ((k + 1) ** 2 * (k + 2))
-    return acc
+    return _hom_eval(((4 * n - 2 * k + 3) * t for k, t in enumerate(_ratio_row(n + 2, range(n + 2),
+        lambda k: ((n + k + 3) * (n - k + 1) * (4 * k + 6), (k + 1) ** 2 * (k + 2))))), 1, -3)
 
 
 def _check_lem_2_2(point):
@@ -539,6 +547,11 @@ def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> bool:
                    for d in range(2, n + 1) if n % d == 0)
 
 
+def _lem_2_3_row(n: int, a: int, bexp: int):  # LEM-2.3's C(n+1,k)^a C(n+k,k)^b C(2k,k) at q = 1
+    return _ratio_row(1, range(n), lambda k: (
+        (n + 1 - k) ** a * (n + k + 1) ** bexp * (4 * k + 2), (k + 1) ** (a + bexp + 1)))
+
+
 def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
     """sum_{k=0..n-1} [n+1 k]^a [n+k k]^b [2k k] [k+w]_q (-[3]_q)^(n-1-k),
     folded mod q^n - 1: the n coefficients of its residue, for the text of a
@@ -550,16 +563,14 @@ def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
     C(2n-1, n-1) (every row entry) and the largest term at q = 1.  The powers
     of -[3]_q are signed and come from Horner's rule on the read-back
     terms, acc = acc*(-[3]_q) + term_k."""
-    w = weight_shift
     bound = max([comb(2 * n - 1, n - 1)]
-                + [comb(2 * k, k) * (k + w) * comb(n + 1, k) ** a * comb(n + k, k) ** bexp
-                   for k in range(n)])
+                + [(k + weight_shift) * t for k, t in enumerate(_lem_2_3_row(n, a, bexp))])
     ring = _Packed(n, bound)
     terms, upper, lower = [], None, []
     for m, row in enumerate(_packed_q_pascal_rows(ring, max(2 * n - 1, n + 1))):
         if m % 2 == 0 and m // 2 < n:
             k = m // 2
-            terms.append(ring.mul(ring.q_integer(k + w), row[k]))
+            terms.append(ring.mul(ring.q_integer(k + weight_shift), row[k]))
         if n <= m < 2 * n:
             lower.append(row[m - n])
         if m == n + 1:
@@ -640,12 +651,8 @@ def _check_lem_2_4(point):
 
 
 def _eq_2_11_sum(n: int) -> int:
-    """sum_{k<n} C(n+1,k)C(n+k,k)C(2k,k)(k+2)(-3)^(n-1-k), each term from the one before."""
-    acc, t = 0, 1
-    for k in range(n):
-        acc = acc * -3 + (k + 2) * t
-        t = t * (n + 1 - k) * (n + k + 1) * (4 * k + 2) // (k + 1) ** 3
-    return acc
+    """sum_{k<n} C(n+1,k)C(n+k,k)C(2k,k)(k+2)(-3)^(n-1-k): LEM-2.3's sum at q = 1, a = b = 1."""
+    return _hom_eval(((k + 2) * t for k, t in enumerate(_lem_2_3_row(n, 1, 1))), 1, -3)
 
 
 def _check_eq_2_11(point):
@@ -682,11 +689,8 @@ def _check_lem_3_1_b(point):
 def _lem_3_sum(n: int, a: int, b: int, weight) -> int:
     """sum_{k<n} C(n-1,k)^a C(-n-1,k)^b Cat_k weight(n,k) 3^(n-1-k), each term from the one
     before; LEM-3.4 reads it at weight (k+1)(k+2), since C(2k,k) = (k+1)Cat_k."""
-    acc, t = 0, 1
-    for k in range(n):
-        acc = acc * 3 + weight(n, k) * t
-        t = t * (n - 1 - k) ** a * (-n - 1 - k) ** b * (4 * k + 2) // ((k + 1) ** (a + b) * (k + 2))
-    return acc
+    return _hom_eval((weight(n, k) * t for k, t in enumerate(_ratio_row(1, range(n), lambda k: (
+        (n - 1 - k) ** a * (-n - 1 - k) ** b * (4 * k + 2), (k + 1) ** (a + b) * (k + 2))))), 1, 3)
 
 
 def _sum_3_3(n: int) -> int:
@@ -859,8 +863,9 @@ def _check_eq_4_12(point):
 def _check_eq_4_13(point):
     n = point
     lhs = _POW_SUM.at(n, (_S_POLY, (), 2))[0]
-    rhs = Poly(_expand_in_y([(n + k + 1) * comb(n + 1, k + 1) * comb(n + k, k) * comb(2 * k, k + 1)
-                             for k in range(1, n + 1)]))
+    # row k = 1..n: (n+k+1)C(n+1,k+1)C(n+k,k)C(2k,k+1)
+    rhs = Poly(_expand_in_y(tuple(_ratio_row(n * (n + 1) ** 2 * (n + 2) // 2, range(1, n + 1),
+        lambda k: ((n + k + 2) * (n - k) * (4 * k + 2), k * (k + 2) ** 2)))))
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())
     return _ok()

@@ -842,6 +842,85 @@ class TestCachedRows:
         assert peak < 100_000
 
 
+# LEM-4.2's product as the lemma states it; entry k of EQ-4.13's right-side row is this product.
+def _lem_4_2_product(n: int, k: int) -> int:
+    return (n + k + 1) * comb(n + k, k) * comb(n + 1, k + 1) * comb(2 * k, k + 1)
+
+
+class TestRatioRows:
+    """Every row and single sum steps each term from the one before through
+    _ratio_row; each row entry must equal its math.comb product for n <= 120."""
+
+    def test_signed_chain(self):
+        # C(-n-1, k) = (-1)^k C(n+k, k): the ratio -(n+1+k)/(k+1) keeps its sign up top
+        for n in range(30):
+            got = list(claims._ratio_row(1, range(40), lambda k: (-(n + 1 + k), k + 1)))
+            assert got == [(-1) ** k * comb(n + k, k) for k in range(40)], n
+
+    def test_chain_past_a_zero_factor(self):
+        # C(m, k) for k <= m + 2: the factor m - k is 0 at k = m, and every later term is 0
+        for m in range(30):
+            got = list(claims._ratio_row(1, range(m + 3), lambda k: (m - k, k + 1)))
+            assert got == [comb(m, k) for k in range(m + 3)], m
+
+    def test_t2_row(self):
+        for n in range(121):
+            assert claims._T2_ROW.at(n) == tuple(
+                comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n + 1)), n
+
+    def test_m2_row(self):
+        for n in range(121):
+            assert claims._M2_ROW.at(n) == tuple(comb(n + k + 1, 2 * k) * comb(2 * k, k)
+                                                 * comb(2 * k, k + 1) for k in range(1, n + 2)), n
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_eq_4_11_row(self, delta):
+        for n in range(1, 121):
+            big_l = lcm(*range(1, n + delta + 1))
+            assert claims._EQ411_ROW.at(n, delta) == (big_l, tuple(
+                comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j) * (big_l // (j + delta + 1))
+                for j in range(n))), n
+
+    def test_eq_4_13_row_is_lem_4_2_product(self, monkeypatch):
+        # the row that EQ-4.13's check expands in y = x(x+1), taken on its way
+        # to _expand_in_y; the left side is a dummy running sum
+        rows = []
+        monkeypatch.setattr(claims, "_POW_SUM", claims._Acc(0, lambda prev, n, key: (ZERO, ZERO)))
+        monkeypatch.setattr(claims, "_expand_in_y", lambda row: rows.append(row) or [1])
+        for n in range(1, 121):
+            claims._check_eq_4_13(n)
+            assert rows.pop() == tuple(_lem_4_2_product(n, k) for k in range(1, n + 1)), n
+
+    def test_lem_2_3_row(self):
+        for a in range(3):
+            for bexp in range(3):
+                for n in range(41):
+                    assert list(claims._lem_2_3_row(n, a, bexp)) == [
+                        comb(n + 1, k) ** a * comb(n + k, k) ** bexp * comb(2 * k, k)
+                        for k in range(n)], (a, bexp, n)
+
+    def test_packed_width_bound(self, monkeypatch):
+        # the bound that _q_sum_2_9 sizes its packed ring by, taken at the ring's
+        # construction, against its comb form
+        class Bound(Exception):
+            pass
+
+        def ring(n, bound):
+            raise Bound(bound)
+
+        monkeypatch.setattr(claims, "_Packed", ring)
+        for a in range(3):
+            for bexp in range(3):
+                for w in (2, 3):
+                    for n in range(1, 41):
+                        with pytest.raises(Bound) as caught:
+                            _q_sum_2_9(n, a, bexp, w)
+                        assert caught.value.args[0] == max(
+                            [comb(2 * n - 1, n - 1)]
+                            + [comb(2 * k, k) * (k + w) * comb(n + 1, k) ** a
+                               * comb(n + k, k) ** bexp for k in range(n)]), (a, bexp, w, n)
+
+
 class TestConjecture51b:
     def test_small_primes_pass_and_p3_skipped(self):
         report = verify_claim("CONJ-5.1.b", {"prime_hi": 7})
