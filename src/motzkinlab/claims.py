@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Callable, Iterable
 
 from . import modular, sequences as seq
@@ -177,12 +177,6 @@ def _ratio_row(t: int, ks: Iterable[int], ratio):
         t = t * num // den
 
 
-def _eq_4_11_row(_prefix, n: int, delta: int) -> tuple[int, tuple[int, ...]]:
-    big_l = lcm(*range(1, n + delta + 1))  # C(n-1,j)C(n+j+1,j)C(2j,j) times L/(j+delta+1)
-    return big_l, tuple(t * (big_l // (j + delta + 1)) for j, t in enumerate(_ratio_row(
-        1, range(n), lambda j: ((n - 1 - j) * (n + j + 2) * (4 * j + 2), (j + 1) ** 3))))
-
-
 # coefficient rows of the (b, c)-sums, keyed by n alone and evaluated at (c, d) by _hom_eval:
 # C(n+j,2j)C(2j,j)^2 for j = 0..n, and C(n+k+1,2k)C(2k,k)C(2k,k+1) for k = 1..n+1
 _T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_ratio_row(  # LEM-3.1.b, LEM-4.1, EQ-3.4
@@ -192,7 +186,11 @@ _M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_ratio_row(  # REM-2.1
     lambda k: ((n + k + 2) * (n - k + 1) * (4 * k + 2), k * (k + 1) * (k + 2)))))
 _T2W_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-4.1: (n-j) times entry j < n
     (n - j) * w for j, w in enumerate(_T2_ROW.at(n)[:n])), start=1)
-_EQ411_ROW = seq._PrefixCache(_eq_4_11_row, start=1)  # (L, row) keyed by delta: EQ-4.11
+# EQ-4.11, keyed by delta: entry j < n is (n(n+1))^(delta+1) C(n-1,j)C(n+j+1,j)C(2j,j)/(j+delta+1)
+_EQ411_ROW = seq._PrefixCache(lambda _prefix, n, delta: tuple(_ratio_row(
+    (n * (n + 1)) ** (delta + 1) // (delta + 1), range(n),
+    lambda j: ((n - 1 - j) * (n + j + 2) * (4 * j + 2) * (j + delta + 1),
+               (j + 1) ** 3 * (j + delta + 2)))), start=1)
 # LEM-4.4.b: entry k-1 is sum_j C(n-j,k-j) (-1)^(k-j) w(n,j) (LEM-4.4.a reads s_n)
 _W_INVERSE_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_binomial_transform(
     [seq.w_coeff(n, j) for j in range(1, n + 1)], -1)), start=1)
@@ -559,12 +557,13 @@ def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
 
     Each term_k is formed packed (see _Packed), from the q-Pascal rows of
     _packed_q_pascal_rows.  Every factor has nonnegative coefficients, so
-    the value at q = 1 of anything formed is at most U, the larger of
-    C(2n-1, n-1) (every row entry) and the largest term at q = 1.  The powers
-    of -[3]_q are signed and come from Horner's rule on the read-back
-    terms, acc = acc*(-[3]_q) + term_k."""
-    bound = max([comb(2 * n - 1, n - 1)]
-                + [(k + weight_shift) * t for k, t in enumerate(_lem_2_3_row(n, a, bexp))])
+    the value at q = 1 of anything formed is at most U, the largest term at
+    q = 1.  U also bounds every row entry, C(2n-1, n-1) at most: for w >= 2
+    the term k = n-1 alone is at least (n+1) C(2n-2, n-1), which exceeds
+    C(2n-1, n-1) = (2n-1)/n C(2n-2, n-1).  The powers of -[3]_q are signed
+    and come from Horner's rule on the read-back terms,
+    acc = acc*(-[3]_q) + term_k."""
+    bound = max((k + weight_shift) * t for k, t in enumerate(_lem_2_3_row(n, a, bexp)))
     ring = _Packed(n, bound)
     terms, upper, lower = [], None, []
     for m, row in enumerate(_packed_q_pascal_rows(ring, max(2 * n - 1, n + 1))):
@@ -836,18 +835,12 @@ def _check_eq_4_10(point):
     return _ok()
 
 
-def _eq_4_11_sum(b: int, c: int, delta: int, n: int) -> tuple[int, int]:
-    """(L, 2L times EQ-4.11's closed form); each denominator j+delta+1 divides L = lcm(1..n+delta)."""
-    big_l, row = _EQ411_ROW.at(n, delta)
-    return big_l, b * (n * (n + 1)) ** (delta + 1) * _hom_eval(row, c, b * b - 4 * c)
-
-
 def _check_eq_4_11(point):
     b, c, delta, n = point
     lhs = _S411.at(n, (b, c, delta))
-    big_l, total = _eq_4_11_sum(b, c, delta, n)
-    if 2 * big_l * lhs != total:
-        return _fail(f"weighted T-sum = {lhs}", f"closed form = {Fraction(total, 2 * big_l)}")
+    total = b * _hom_eval(_EQ411_ROW.at(n, delta), c, b * b - 4 * c)  # twice the closed form
+    if 2 * lhs != total:
+        return _fail(f"weighted T-sum = {lhs}", f"closed form = {Fraction(total, 2)}")
     return _ok()
 
 

@@ -226,9 +226,6 @@ class Poly:
             a[i] = 0
         return Poly(q), Poly(a[:db])
 
-    def __mod__(self, other):
-        return self.div_rem(other)[1]
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Return q with self = other * q in Z[x], or raise NotDivisible."""
         q, r = self.div_rem(other)

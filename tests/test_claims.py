@@ -19,7 +19,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt
 
 import pytest
 
@@ -640,14 +640,15 @@ class TestScaledIntegerSides:
                     assert got == sum(_lem_3_4_term(n, k, a, b) for k in range(n)), (a, b, n)
 
     def test_eq_4_11_closed_form(self):
-        # the small test grid, d = 0 at (2, 1) included, and both deltas
+        # the small test grid, d = 0 at (2, 1) included, and both deltas: b times
+        # the integer row at (c, d) is twice the closed form
         for b in GRID_SMALL["b_set"]:
             for c in GRID_SMALL["c_set"]:
                 for delta in (0, 1):
                     for n in range(1, 16):
-                        big_l, total = claims._eq_4_11_sum(b, c, delta, n)
-                        assert all(big_l % k == 0 for k in range(1, n + delta + 1))
-                        assert total == 2 * big_l * _eq_4_11_rhs(b, c, delta, n)
+                        row = claims._EQ411_ROW.at(n, delta)
+                        total = b * claims._hom_eval(row, c, b * b - 4 * c)
+                        assert total == 2 * _eq_4_11_rhs(b, c, delta, n), (b, c, delta, n)
 
     @pytest.mark.parametrize("acc, zero, check, point, rhs", [
         ("_E28_LHS", 0, claims._check_eq_2_8, 7, lambda: f"telescoped form = {_eq_2_8_rhs(7)}"),
@@ -685,12 +686,18 @@ def _rem_2_1_rhs(b: int, c: int, n: int) -> int:
                * c ** (k - 1) * d ** (n + 1 - k) for k in range(1, n + 2))
 
 
-def _eq_4_11_comb_sum(b: int, c: int, delta: int, n: int) -> tuple[int, int]:
+def _eq_4_11_entry(n: int, delta: int, j: int) -> int:
+    """(n(n+1))^(delta+1) C(n-1,j)C(n+j+1,j)C(2j,j)/(j+delta+1), asserted to be an integer."""
+    entry, rem = divmod((n * (n + 1)) ** (delta + 1) * comb(n - 1, j) * comb(n + j + 1, j)
+                        * comb(2 * j, j), j + delta + 1)
+    assert rem == 0, (n, delta, j)
+    return entry
+
+
+def _eq_4_11_comb_sum(b: int, c: int, delta: int, n: int) -> int:
+    """Twice EQ-4.11's closed form."""
     d = b * b - 4 * c
-    big_l = lcm(*range(1, n + delta + 1))
-    return big_l, b * (n * (n + 1)) ** (delta + 1) * sum(
-        comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j) * (big_l // (j + delta + 1))
-        * c ** j * d ** (n - 1 - j) for j in range(n))
+    return b * sum(_eq_4_11_entry(n, delta, j) * c ** j * d ** (n - 1 - j) for j in range(n))
 
 
 def _eq_3_4_lhs(n: int) -> int:
@@ -788,10 +795,14 @@ class TestCachedRows:
             assert claims._T2W_ROW.at(n) == tuple(
                 (n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n)), n
 
-    def test_eq_4_11_sum(self):
+    def test_eq_4_11_sum(self, monkeypatch):
+        # the checker's right side, with a left side that no point matches
+        monkeypatch.setattr(claims, "_S411", claims._Acc(1, lambda prev, n, key: _HUGE))
         for b, c, n in _grid_small_points(1):
             for delta in (0, 1):
-                assert claims._eq_4_11_sum(b, c, delta, n) == _eq_4_11_comb_sum(b, c, delta, n)
+                kind, _, rhs = claims._check_eq_4_11((b, c, delta, n))
+                assert kind == "fail", (b, c, delta, n)
+                assert rhs == f"closed form = {Fraction(_eq_4_11_comb_sum(b, c, delta, n), 2)}"
 
     def test_eq_3_4_rows(self, monkeypatch):
         # the left side is the double sum whose inner rows come from the cache
@@ -875,11 +886,17 @@ class TestRatioRows:
 
     @pytest.mark.parametrize("delta", [0, 1])
     def test_eq_4_11_row(self, delta):
+        # every entry is an integer, and equals its factored form: n(n+1) C(n-1,j)C(n+j+1,j)Cat_j
+        # at delta = 0, n(j+1)^2 C(n+1,j+2)C(n+j+1,j+1)C(2j,j) at delta = 1
+        factored = (
+            lambda n, j: n * (n + 1) * comb(n - 1, j) * comb(n + j + 1, j) * _cat(j),
+            lambda n, j: n * (j + 1) ** 2 * comb(n + 1, j + 2) * comb(n + j + 1, j + 1)
+            * comb(2 * j, j),
+        )[delta]
         for n in range(1, 121):
-            big_l = lcm(*range(1, n + delta + 1))
-            assert claims._EQ411_ROW.at(n, delta) == (big_l, tuple(
-                comb(n - 1, j) * comb(n + j + 1, j) * comb(2 * j, j) * (big_l // (j + delta + 1))
-                for j in range(n))), n
+            row = claims._EQ411_ROW.at(n, delta)
+            assert row == tuple(_eq_4_11_entry(n, delta, j) for j in range(n)), n
+            assert row == tuple(factored(n, j) for j in range(n)), n
 
     def test_eq_4_13_row_is_lem_4_2_product(self, monkeypatch):
         # the row that EQ-4.13's check expands in y = x(x+1), taken on its way
@@ -901,7 +918,8 @@ class TestRatioRows:
 
     def test_packed_width_bound(self, monkeypatch):
         # the bound that _q_sum_2_9 sizes its packed ring by, taken at the ring's
-        # construction, against its comb form
+        # construction, against its comb form: the largest term, which exceeds
+        # C(2n-1, n-1), the largest q-Pascal entry the sum reads at q = 1
         class Bound(Exception):
             pass
 
@@ -915,10 +933,10 @@ class TestRatioRows:
                     for n in range(1, 41):
                         with pytest.raises(Bound) as caught:
                             _q_sum_2_9(n, a, bexp, w)
-                        assert caught.value.args[0] == max(
-                            [comb(2 * n - 1, n - 1)]
-                            + [comb(2 * k, k) * (k + w) * comb(n + 1, k) ** a
-                               * comb(n + k, k) ** bexp for k in range(n)]), (a, bexp, w, n)
+                        bound = max(comb(2 * k, k) * (k + w) * comb(n + 1, k) ** a
+                                    * comb(n + k, k) ** bexp for k in range(n))
+                        assert caught.value.args[0] == bound, (a, bexp, w, n)
+                        assert bound > comb(2 * n - 1, n - 1), (a, bexp, w, n)
 
 
 class TestConjecture51b:
@@ -1099,8 +1117,8 @@ _REFUTED = "counterexample"
     # EQ-2.8 divides each row exactly, so a wrong row raises instead
     (claims._M2_ROW, (), _bump3,
      {"REM-2.1": _REFUTED, "LEM-2.1.a": _REFUTED, "EQ-2.8": "NonIntegral"}),
-    (claims._EQ411_ROW, 0, lambda e: (e[0], _bump3(e[1])), {"EQ-4.11": _REFUTED}),
-    (claims._EQ411_ROW, 1, lambda e: (e[0], _bump3(e[1])), {"EQ-4.11": _REFUTED}),
+    (claims._EQ411_ROW, 0, _bump3, {"EQ-4.11": _REFUTED}),
+    (claims._EQ411_ROW, 1, _bump3, {"EQ-4.11": _REFUTED}),
     (claims._W_INVERSE_ROW, (), _bump3, {"LEM-4.4.b": _REFUTED}),
     # s_7, whose coefficients are LEM-4.4.a's transform row
     (claims._S_POLY, (), lambda p: Poly(_bump3(p.coeffs)),
@@ -1356,7 +1374,7 @@ def _lem_2_1_b_oracle(b: int, d: int, n: int) -> tuple:
     total = ZERO
     for k, a in enumerate(s.coeffs):
         total = total + Poly((0, 2)) ** (n - k) * Poly((b, -1)) ** k * a
-    rem = total % Poly((-d, 0, 1))
+    rem = total.div_rem(Poly((-d, 0, 1)))[1]
     return (rem.coeffs + (0, 0))[:2]
 
 
