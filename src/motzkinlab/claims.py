@@ -502,46 +502,60 @@ class CheckerDisagreement(RuntimeError):
     verifier, which must end the run as an internal error, not a refutation."""
 
 
-def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> Poly:
-    """For d | n, d > 1: a residue mod q^d - 1, zero exactly when Phi_d divides
-    LEM-2.3's sum (q-Lucas).
+def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> list[int]:
+    """For d | n, d > 1: the d coefficients of a residue mod q^d - 1, all zero
+    exactly when Phi_d divides LEM-2.3's sum (q-Lucas).
 
     Mod Phi_d the k-th term is u^a v^b t [2r r] [k+w]_q (-[3]_q)^(n-1-k),
     with the scalars of _LUCAS and [k+w]_q = [(k+w) mod d]_q.  The sum is
-    formed by Horner in -[3]_q on a length-d residue mod q^d - 1, where q^i
-    is a rotation, then multiplied by prod_{p | d prime} (q^(d/p) - 1), one
-    rotation and subtraction per p.  q^d - 1 is squarefree and the product
-    vanishes at its roots but the primitive d-th ones, the roots of Phi_d."""
-    shapes = {}  # r -> [2r r] [(r+w) mod d]_q mod q^d - 1, for the r that occur
-    acc = [0] * d
+    formed by Horner in -[3]_q over the terms nonzero at q = 1 only, on
+    packed residues mod q^d - 1 (see _Packed), kept as pos - neg with both
+    halves nonnegative: a gap g between terms multiplies both halves by
+    [3]_q^g and swaps them for odd g.  The bound is the unsigned sum at
+    q = 1, which every product formed stays under, [3]_q^g included.  The
+    residue read back is multiplied by prod_{p | d prime} (q^(d/p) - 1),
+    one rotation and subtraction per p.  q^d - 1 is squarefree and the
+    product vanishes at its roots but the primitive d-th ones, the roots of
+    Phi_d."""
+    terms, bound, last = [], 0, 0  # terms: (k, u^a v^b t, r, (r+w) mod d), nonzero at q = 1
     for k, (u, v, t) in enumerate(_LUCAS.at(n // d, d)):
-        acc = [-(x + y + z) for x, y, z in zip(acc, acc[-1:] + acc[:-1], acc[-2:] + acc[:-2])]
-        c = u ** a * v ** bexp * t
+        r = k % d
+        c, s = u ** a * v ** bexp * t, (r + weight_shift) % d
+        if c and s:
+            terms.append((k, c, r, s))
+            bound = bound * 3 ** (k - last) + c * comb(2 * r, r) * s
+            last = k
+    ring = _Packed(d, bound * 3 ** (n - 1 - last))
+    three, powers, shapes = ring.q_integer(3), {}, {}
+    pos = neg = last = 0
+    for k, c, r, s in terms + [(n - 1, 0, 0, 0)]:  # the last step only multiplies
+        g = k - last
+        if g and (pos or neg):
+            if g not in powers:
+                x = three
+                for bit in bin(g)[3:]:
+                    x = ring.mul(x, x)
+                    if bit == "1":
+                        x = ring.mul(x, three)
+                powers[g] = x
+            pos, neg = ring.mul(pos, powers[g]), ring.mul(neg, powers[g])
+            if g % 2:
+                pos, neg = neg, pos
         if c:
-            r = k % d
             if r not in shapes:
-                shapes[r] = _times_q_integer(_fold(q_binomial(2 * r, r).coeffs, d),
-                                             (r + weight_shift) % d)
-            acc = [x + c * y for x, y in zip(acc, shapes[r])]
+                shapes[r] = ring.mul(ring.pack(_fold(q_binomial(2 * r, r).coeffs, d)),
+                                     ring.q_integer(s))
+            pos += c * shapes[r]
+        last = k
+    acc = [x - y for x, y in zip(ring.coeffs(pos), ring.coeffs(neg))]
     for s in [d // p for p in range(2, d + 1) if d % p == 0 and modular.is_prime(p)]:
         acc = [x - y for x, y in zip(acc[-s:] + acc[:-s], acc)]
-    return Poly(acc)
-
-
-def _times_q_integer(f: list, s: int) -> list:
-    """f [s]_q mod q^d - 1 for a length-d residue f and 0 <= s < d: entry i
-    is the cyclic window sum f[i] + f[i-1] + ... + f[i-s+1]."""
-    window = sum(f[i] for i in range(1 - s, 1))
-    out = [window]
-    for i in range(1, len(f)):
-        window += f[i] - f[i - s]
-        out.append(window)
-    return out
+    return acc
 
 
 def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> bool:
     """Whether [n]_q = prod_{d | n, d > 1} Phi_d divides LEM-2.3's sum."""
-    return not any(_lucas_remainder(n, d, a, bexp, weight_shift)
+    return not any(any(_lucas_remainder(n, d, a, bexp, weight_shift))
                    for d in range(2, n + 1) if n % d == 0)
 
 

@@ -86,6 +86,10 @@ class _Packed:
         p = x * y
         return (p & self.mask) + (p >> self.bits)
 
+    def pack(self, residue) -> int:
+        """The packed int of the n nonnegative coefficients of a residue."""
+        return sum(c << (i * self.width) for i, c in enumerate(residue))
+
     def coeffs(self, x: int) -> list[int]:
         """The n coefficients of x, lowest degree first."""
         digit = (1 << self.width) - 1

@@ -492,9 +492,66 @@ class TestPinnedPoints:
                             if n % d == 0:
                                 expected = Poly(residue).div_rem(_cyclotomic(d))[1]
                                 got = claims._lucas_remainder(n, d, a, bexp, shift)
-                                assert got.is_zero == expected.is_zero, (n, d, a, bexp, shift)
+                                assert (not any(got)) == expected.is_zero, (n, d, a, bexp, shift)
                                 nonzero += not expected.is_zero
         assert (refuted, nonzero) == (330, 786)
+
+    def test_lucas_remainder_is_the_folded_residue(self):
+        # the whole residue, not only whether it is zero: mod q^d - 1 the
+        # q-Lucas sum agrees with the fold mod q^n - 1 times
+        # prod_{p | d prime} (q^(d/p) - 1), since that product kills every
+        # factor of the squarefree q^d - 1 but Phi_d, where the two agree
+        cases = 0
+        for n in range(1, 31):
+            for a in range(3):
+                for bexp in range(3):
+                    for shift in (2, 3):
+                        residue = _q_sum_2_9(n, a, bexp, shift)
+                        for d in range(2, n + 1):
+                            if n % d:
+                                continue
+                            product = Poly(_fold(residue, d))
+                            for p in range(2, d + 1):
+                                if d % p == 0 and all(p % e for e in range(2, p)):
+                                    product = product * Poly((-1,) + (0,) * (d // p - 1) + (1,))
+                            expected = _fold(product.coeffs, d)
+                            got = claims._lucas_remainder(n, d, a, bexp, shift)
+                            assert got == expected, (n, d, a, bexp, shift)
+                            cases += 1
+        assert cases == 1458
+
+    def test_lucas_width_bound(self, monkeypatch):
+        # the bound that _lucas_remainder sizes its packed ring by, taken at
+        # the ring's construction, against its comb form: the unsigned sum at
+        # q = 1 of the terms mod Phi_d, where q-Lucas reads [N K]_q as
+        # C(N div d, K div d) [N mod d, K mod d]_q and [k+w]_q as
+        # [(k+w) mod d]_q.  At d = 2, w = 2 every term is 0 mod q^2 - 1:
+        # [k+2]_q = [0]_q for even k and [2k k]_q = 0 for odd k.
+        bounds = []
+
+        class Ring(_Packed):
+            def __init__(self, n, bound):
+                bounds.append(bound)
+                super().__init__(n, bound)
+
+        def lucas(top, bottom, d):
+            return comb(top // d, bottom // d) * comb(top % d, bottom % d)
+
+        monkeypatch.setattr(claims, "_Packed", Ring)
+        for a in range(3):
+            for bexp in range(3):
+                for w in (2, 3):
+                    for n in range(2, 41):
+                        for d in range(2, n + 1):
+                            if n % d:
+                                continue
+                            got = claims._lucas_remainder(n, d, a, bexp, w)
+                            bound = sum(lucas(n + 1, k, d) ** a * lucas(n + k, k, d) ** bexp
+                                        * lucas(2 * k, k, d) * ((k + w) % d) * 3 ** (n - 1 - k)
+                                        for k in range(n))
+                            assert bounds.pop() == bound, (a, bexp, w, n, d)
+                            if d == 2 and w == 2:
+                                assert bound == 0 and got == [0, 0], (a, bexp, n)
 
     def test_cyclotomic_polynomials(self):
         # the oracle's Phi_d against its degree phi(d), the factorization
