@@ -508,12 +508,11 @@ def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> li
 
     Mod Phi_d the k-th term is u^a v^b t [2r r] [k+w]_q (-[3]_q)^(n-1-k),
     with the scalars of _LUCAS and [k+w]_q = [(k+w) mod d]_q.  The sum is
-    formed by Horner in -[3]_q over the terms nonzero at q = 1 only, on
-    packed residues mod q^d - 1 (see _Packed), kept as pos - neg with both
-    halves nonnegative: a gap g between terms multiplies both halves by
-    [3]_q^g and swaps them for odd g.  The bound is the unsigned sum at
-    q = 1, which every product formed stays under, [3]_q^g included.  The
-    residue read back is multiplied by prod_{p | d prime} (q^(d/p) - 1),
+    formed by Horner in -[3]_q over the terms nonzero at q = 1 only, as one
+    packed residue reduced mod 2^(dB) - 1 (see _Packed): a gap g between
+    terms is one product by (-[3]_q)^g.  Only the read-back needs a bound on
+    the coefficients, and the unsigned sum at q = 1 is one.  The residue
+    read back is multiplied by prod_{p | d prime} (q^(d/p) - 1),
     one rotation and subtraction per p.  q^d - 1 is squarefree and the
     product vanishes at its roots but the primitive d-th ones, the roots of
     Phi_d."""
@@ -526,28 +525,18 @@ def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> li
             bound = bound * 3 ** (k - last) + c * comb(2 * r, r) * s
             last = k
     ring = _Packed(d, bound * 3 ** (n - 1 - last))
-    three, powers, shapes = ring.q_integer(3), {}, {}
-    pos = neg = last = 0
+    M, neg_three, shapes = ring.mask, -ring.q_integer(3), {}
+    acc = last = 0
     for k, c, r, s in terms + [(n - 1, 0, 0, 0)]:  # the last step only multiplies
-        g = k - last
-        if g and (pos or neg):
-            if g not in powers:
-                x = three
-                for bit in bin(g)[3:]:
-                    x = ring.mul(x, x)
-                    if bit == "1":
-                        x = ring.mul(x, three)
-                powers[g] = x
-            pos, neg = ring.mul(pos, powers[g]), ring.mul(neg, powers[g])
-            if g % 2:
-                pos, neg = neg, pos
+        if acc:
+            acc = acc * pow(neg_three, k - last, M) % M
         if c:
             if r not in shapes:
                 shapes[r] = ring.mul(ring.pack(_fold(q_binomial(2 * r, r).coeffs, d)),
                                      ring.q_integer(s))
-            pos += c * shapes[r]
+            acc = (acc + c * shapes[r]) % M
         last = k
-    acc = [x - y for x, y in zip(ring.coeffs(pos), ring.coeffs(neg))]
+    acc = ring.coeffs(acc)
     for s in [d // p for p in range(2, d + 1) if d % p == 0 and modular.is_prime(p)]:
         acc = [x - y for x, y in zip(acc[-s:] + acc[:-s], acc)]
     return acc

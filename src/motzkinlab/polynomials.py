@@ -48,21 +48,23 @@ def _fold(coeffs, n: int) -> list:
 
 
 class _Packed:
-    """Residues mod q^n - 1 with nonnegative coefficients, each packed into one
-    int by evaluation at q = 2^B: coefficient i sits in bits [iB, (i+1)B).
+    """Residues mod q^n - 1, each packed into one int by evaluation at q = 2^B:
+    coefficient i sits in bits [iB, (i+1)B).
 
-    Z[q]/(q^n - 1) then becomes the integers mod 2^(nB) - 1 (Kronecker
-    substitution with a cyclic wrap, Schoenhage 1982): q^k is a rotation by
-    kB bits, and a product is one int product plus one fold.  This is exact
-    when no digit carries.  The caller gives a bound U on the value at q = 1
-    of every residue it forms, sums and products included.  A coefficient
-    is nonnegative, so it is at most that value, and with B =
-    U.bit_length() + 1 every digit is below 2^(B-1).  The digits of a
-    product x*y are coefficients of the unfolded product, so each is at
-    most U; the fold (p & mask) + (p >> nB) adds two such digits, which
-    stay below 2^B.  So no digit carries, one fold is exact, and every
-    residue is below 2^(nB - 1), never the 2^(nB) - 1 that would also
-    stand for 0."""
+    For any B, q -> 2^B is a ring map from Z[q]/(q^n - 1) onto the integers
+    mod M = 2^(nB) - 1 (Kronecker substitution with a cyclic wrap,
+    Schoenhage 1982): q^k is a rotation by kB bits, a product is one int
+    product plus one fold, and any sum or product may be reduced mod M.
+    The caller gives a bound U on the absolute value of every coefficient
+    it reads back, and B = U.bit_length() + 1 keeps each below 2^(B-1), so
+    coeffs reads the residue back exactly from any int of its class.
+
+    rotate takes an int below 2^(nB).  Residues with nonnegative
+    coefficients whose value at q = 1 is at most U, sums and products
+    included, stay there without a reduction: the digits of a product x*y
+    are coefficients of the unfolded product, so each is at most U, and the
+    fold (p & mask) + (p >> nB) adds two such digits, which stay below 2^B.
+    So no digit carries and every such residue is below 2^(nB - 1)."""
 
     __slots__ = ("n", "width", "bits", "mask")
 
@@ -87,13 +89,17 @@ class _Packed:
         return (p & self.mask) + (p >> self.bits)
 
     def pack(self, residue) -> int:
-        """The packed int of the n nonnegative coefficients of a residue."""
+        """The packed int of the n coefficients of a residue: its value at q = 2^B."""
         return sum(c << (i * self.width) for i, c in enumerate(residue))
 
     def coeffs(self, x: int) -> list[int]:
-        """The n coefficients of x, lowest degree first."""
-        digit = (1 << self.width) - 1
-        return [(x >> (i * self.width)) & digit for i in range(self.n)]
+        """The n coefficients, lowest degree first, of the residue that x stands
+        for mod M, each below 2^(B-1) in absolute value.  With 2^(B-1) - 1
+        added to each they lie in [0, 2^B - 1), so they are the digits of that
+        sum's least residue mod M."""
+        digit, shift = (1 << self.width) - 1, (1 << self.width - 1) - 1
+        x = (x + self.mask // digit * shift) % self.mask
+        return [((x >> (i * self.width)) & digit) - shift for i in range(self.n)]
 
 
 class Poly:

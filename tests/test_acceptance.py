@@ -9,6 +9,7 @@ defining sum of W_k without the library's sequences or accumulators.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -253,3 +254,13 @@ def test_determinism_suite_all_1_vs_8_workers():
               a == b and not bad and conj_ok,
               f"identical={a == b}, unexpected statuses={bad}, "
               f"CONJ-5.1.b status={conj.status}, first witness={conj_first}")
+
+
+def test_suite_all_report_is_pinned():
+    # the default suite all report, elapsed_ms excluded, is pinned: a change
+    # that means to alter the report updates this digest
+    report = reports_to_json(run_suite("all", jobs=1), include_elapsed=False)
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    criterion("suite 'all' JSON (elapsed excluded) has the recorded sha256",
+              digest == "15993f8280296e4092745d42d1b95c5ea949f6234d0466cd2b856197690d0609",
+              digest)

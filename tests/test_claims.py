@@ -473,6 +473,26 @@ class TestPinnedPoints:
                         assert x == ring.rotate(bound, i), (bound, n, i, j)
                         assert ring.coeffs(x) == ring.coeffs(x % ring.mask) == expected
 
+    def test_packed_balanced_read_back(self):
+        # signed coefficients up to the bound U in absolute value: +-U alone at
+        # q^i, all +U, all -U and both alternations, each read back from its
+        # least residue mod M = 2^(nB) - 1, from that plus M and 2M, from that
+        # minus M, which is negative, and from its value at q = 2^B
+        for bound in (1, 3, 6, 7, 8, 2 ** 64 - 1, 2 ** 64, 3 ** 41):
+            for n in range(1, 7):
+                ring = _Packed(n, bound)
+                residues = [[sign * bound] * n for sign in (1, -1)]
+                residues += [[(-1) ** (i + j) * bound for i in range(n)] for j in (0, 1)]
+                for i in range(n):
+                    for sign in (1, -1):
+                        residues.append([sign * bound if j == i else 0 for j in range(n)])
+                for expected in residues:
+                    value = ring.pack(expected)
+                    least = value % ring.mask
+                    for x in (least, least + ring.mask, least + 2 * ring.mask,
+                              least - ring.mask, value):
+                        assert ring.coeffs(x) == expected, (bound, n, expected, x - least)
+
     def test_lucas_verdict_matches_fold(self):
         # q-Lucas at the divisors of n decides every point as the fold mod
         # q^n - 1 does, a = 0 (where the lemma is false) and the mutated
