@@ -382,49 +382,9 @@ def _check_thm_1_3_d(point):
     return _ok()
 
 
-def _check_id_1_8(point):
-    n = point
-    lhs = _MSQ_SUM.at(n, (1, 1, -1, 3))
-    rhs = n * (n + 1) * (n + 2) * seq.motzkin(n) * seq.motzkin(n - 1)
-    if lhs != rhs:
-        return _fail(f"sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")
-    return _ok()
-
-
-def _check_cor_1_1_ab(point):
-    n = point
-    d1 = 3 * (n * (n + 1) // 2)
-    ok, rem = _divides(_S411.at(n, (3, 2, 0)), d1)
-    if not ok:
-        return _fail(f"sum k*D_k*D_(k-1) = {rem} (mod {d1})", "0 (mod 3n(n+1)/2)")
-    d2 = (n * (n + 1) // 2) ** 2
-    ok, rem = _divides(_S411.at(n, (3, 2, 1)), d2)
-    if not ok:
-        return _fail(f"sum k^3*D_k*D_(k-1) = {rem} (mod {d2})", "0 (mod n^2(n+1)^2/4)")
-    return _ok()
-
-
-def _check_cor_1_1_c(point):
-    n = point
-    divisor = n * (n + 1) * (n + 2) // gcd(2, n)
-    ok, rem = _divides(_MSQ_SUM.at(n, (3, 2, 1, 3)), divisor)
-    if not ok:
-        return _fail(f"sum = {rem} (mod {divisor})", "0 (mod n(n+1)(n+2)/gcd(2,n))")
-    return _ok()
-
-
-def _check_cor_1_1_d(point):
-    n = point
-    ss = seq.schroder_little(n) * seq.schroder_little(n + 1)
-    if ss % 3:
-        return _fail(f"s_n*s_(n+1) = {ss}", "0 (mod 3)")
-    total = _MSQ_SUM.at(n, (3, 2, -1, 3))
-    divisor = n * (n + 1) * (n + 2)
-    if total % divisor:
-        return _fail(f"alt-sum = {total % divisor} (mod {divisor})", "0 (mod n(n+1)(n+2))")
-    if 3 * total != divisor * ss:
-        return _fail(f"3*alt-sum = {3 * total}", f"n(n+1)(n+2)*s_n*s_(n+1) = {divisor * ss}")
-    return _ok()
+def _check_cor_1_1_ab(n):  # Theorem 1.3.a, then 1.3.b, at (b, c) = (3, 2)
+    outcome = _check_thm_1_3_a((3, 2, n))
+    return outcome if outcome[0] == "fail" else _check_thm_1_3_b((3, 2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +502,7 @@ def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> li
     return acc
 
 
-def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> bool:
+def _q_divides_2_9(n: int, a: int, bexp: int, weight_shift: int) -> bool:
     """Whether [n]_q = prod_{d | n, d > 1} Phi_d divides LEM-2.3's sum."""
     return not any(any(_lucas_remainder(n, d, a, bexp, weight_shift))
                    for d in range(2, n + 1) if n % d == 0)
@@ -553,7 +513,7 @@ def _lem_2_3_row(n: int, a: int, bexp: int):  # LEM-2.3's C(n+1,k)^a C(n+k,k)^b 
         (n + 1 - k) ** a * (n + k + 1) ** bexp * (4 * k + 2), (k + 1) ** (a + bexp + 1)))
 
 
-def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int = 2) -> list[int]:
+def _q_sum_2_9(n: int, a: int, bexp: int, weight_shift: int) -> list[int]:
     """sum_{k=0..n-1} [n+1 k]^a [n+k k]^b [2k k] [k+w]_q (-[3]_q)^(n-1-k),
     folded mod q^n - 1: the n coefficients of its residue, for the text of a
     refuted point.
@@ -1041,7 +1001,7 @@ class Claim:
     grid: Grid
     check: Callable
     default_range: ParamRange
-    deep_range: ParamRange | None = None
+    deep_range: ParamRange
     notes: dict | None = None
 
 
@@ -1060,7 +1020,8 @@ def _register(claim: Claim) -> Claim:
 def _mk(claim_id, suite, statement, grid, check, *, deep=None, notes=None,
         **range_overrides):
     rng = _BASE.override(**range_overrides) if range_overrides else _BASE
-    deep_rng = rng.override(**deep) if deep else None
+    # --deep: twice the default n_max and primes to 5000, unless the claim says otherwise
+    deep_rng = rng.override(**{"n_max": 2 * rng.n_max, "prime_hi": 5000, **(deep or {})})
     return _register(Claim(claim_id, suite, statement, grid, check, rng, deep_rng, notes))
 
 _mk("THM-1.1.i", "theorems",
@@ -1086,16 +1047,16 @@ _mk("THM-1.3.d", "theorems",
     _grid_points(d_nonzero=True, b_nonzero=True), _check_thm_1_3_d, n_max=100)
 _mk("ID-1.8", "identities",
     "sum_{k=0..n-1} (k+1)(k+2)(2k+3)*M_k^2*3^(n-1-k) = n(n+1)(n+2)*M_n*M_{n-1}",
-    _n_points(), _check_id_1_8, deep={"n_max": 500})
+    _n_points(), lambda n: _check_thm_1_3_d((1, 1, n)), deep={"n_max": 500})
 _mk("COR-1.1.ab", "theorems",
     "3n(n+1)/2 divides sum k*D_k*D_{k-1} and n^2(n+1)^2/4 divides sum k^3*D_k*D_{k-1}",
     _n_points(), _check_cor_1_1_ab, deep={"n_max": 300})
 _mk("COR-1.1.c", "theorems",
     "n(n+1)(n+2)/gcd(2,n) divides sum_{k=1..n} k(k+1)(2k+1)*s_k^2",
-    _n_points(), _check_cor_1_1_c, deep={"n_max": 300})
+    _n_points(), lambda n: _check_thm_1_3_c((3, 2, n)), deep={"n_max": 300})
 _mk("COR-1.1.d", "theorems",
     "1/(n(n+1)(n+2)) * sum (-1)^(n-k) k(k+1)(2k+1)*s_k^2 = s_n*s_{n+1}/3, an integer",
-    _n_points(), _check_cor_1_1_d, deep={"n_max": 300})
+    _n_points(), lambda n: _check_thm_1_3_d((3, 2, n)), deep={"n_max": 300})
 
 _mk("ID-2.3", "identities",
     "S_n(x) = (x+1)*s_n(x)",
@@ -1119,7 +1080,7 @@ _mk("LEM-2.3", "lemmas",
     "[n]_q divides sum_k [n+1 k]^a [n+k k]^b [2k k] [k+2]_q (-[3]_q)^(n-1-k)  (a >= 1)",
     # exponent a = 0 falsifies the congruence (already at q = 1), so the
     # valid grid starts at a = 1; b = 0 is fine
-    _exponent_points(a_lo=1, even=False), _check_lem_2_3, n_max=40,
+    _exponent_points(a_lo=1, even=False), _check_lem_2_3, n_max=40, deep={"n_max": 120},
     notes={"a_min": 1,
            "reason": "exponent a = 0 falsifies the divisibility "
                      "(e.g. n = 5: sum = 336 is not divisible by 5 at q = 1)"})
@@ -1203,7 +1164,7 @@ _mk("CONJ-5.1.a", "conjectures",
     _n_points(), _check_conj_5_1_a, deep={"n_max": 2000})
 _mk("CONJ-5.1.b", "conjectures",
     "(1/p)*sum_{k=0..p-1} (8k+9)W_k^2 = 24 + 10(-1/p) - 9(p/3) - 18(3/p) (mod p^2)",
-    _points_conj_5_1_b(), _check_conj_5_1_b, prime_hi=500)
+    _points_conj_5_1_b(), _check_conj_5_1_b, prime_hi=500, deep={"prime_hi": 500})
 _mk("REM-5.1", "conjectures",
     "sum_{k=0..p-1} W_k^2 = 2 (mod p) for primes p > 3",
     _prime_points(), _check_rem_5_1, prime_hi=500)

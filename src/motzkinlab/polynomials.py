@@ -288,22 +288,11 @@ def q_integer(n: int) -> Poly:
 
 
 def _q_binomial_row(rows: list, m: int, _key) -> list[Poly]:
-    """Row m of the q-Pascal triangle from row m - 1."""
+    """Row m of the q-Pascal triangle from row m - 1: [m j] = [m-1 j-1] + q^j [m-1 j]."""
     if m == 0:
         return [ONE]
     prev = rows[m - 1]
-    row = [ONE]
-    for j in range(1, m):
-        a = prev[j].coeffs
-        b = prev[j - 1].coeffs
-        out = [0] * max(len(a) + j, len(b))
-        for i, x in enumerate(b):
-            out[i] = x
-        for i, x in enumerate(a):
-            out[i + j] += x
-        row.append(Poly(out))
-    row.append(ONE)
-    return row
+    return [ONE, *(prev[j - 1] + Poly((0,) * j + prev[j].coeffs) for j in range(1, m)), ONE]
 
 
 _Q_ROWS = sequences._PrefixCache(_q_binomial_row)

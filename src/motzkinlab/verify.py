@@ -55,7 +55,7 @@ def get_claim(claim_id: str) -> Claim:
 
 def effective_range(claim: Claim, overrides: dict | None = None, *,
                     deep: bool = False) -> ParamRange:
-    rng = claim.deep_range if (deep and claim.deep_range is not None) else claim.default_range
+    rng = claim.deep_range if deep else claim.default_range
     if overrides:
         rng = rng.override(**overrides)
     rng.validate()

@@ -236,8 +236,14 @@ def test_mutation_sensitivity():
               ok, str(results))
 
 
-def test_determinism_suite_all_1_vs_8_workers():
-    one = run_suite("all", jobs=1)
+@pytest.fixture(scope="module")
+def suite_all_serial():
+    """The default suite all, serial: run once for the tests that read it."""
+    return run_suite("all", jobs=1)
+
+
+def test_determinism_suite_all_1_vs_8_workers(suite_all_serial):
+    one = suite_all_serial
     eight = run_suite("all", jobs=8)
     a = reports_to_json(one, include_elapsed=False)
     b = reports_to_json(eight, include_elapsed=False)
@@ -256,10 +262,10 @@ def test_determinism_suite_all_1_vs_8_workers():
               f"CONJ-5.1.b status={conj.status}, first witness={conj_first}")
 
 
-def test_suite_all_report_is_pinned():
+def test_suite_all_report_is_pinned(suite_all_serial):
     # the default suite all report, elapsed_ms excluded, is pinned: a change
     # that means to alter the report updates this digest
-    report = reports_to_json(run_suite("all", jobs=1), include_elapsed=False)
+    report = reports_to_json(suite_all_serial, include_elapsed=False)
     digest = hashlib.sha256(report.encode()).hexdigest()
     criterion("suite 'all' JSON (elapsed excluded) has the recorded sha256",
               digest == "15993f8280296e4092745d42d1b95c5ea949f6234d0466cd2b856197690d0609",

@@ -216,6 +216,20 @@ class TestRegistry:
         assert in_suites == {c for c in CLAIMS if not c.startswith("MUT-")}
         assert len(SUITES["all"]) == len(set(SUITES["all"]))
 
+    # the claims that name their own --deep range; every other claim runs at
+    # twice its default n_max with primes to 5000
+    DEEP = {"THM-1.1.i": {"n_max": 2000}, "THM-1.2": {"n_max": 1000}, "ID-1.8": {"n_max": 500},
+            "COR-1.1.ab": {"n_max": 300}, "COR-1.1.c": {"n_max": 300},
+            "COR-1.1.d": {"n_max": 300}, "LEM-2.3": {"n_max": 120},
+            "CONJ-5.1.a": {"n_max": 2000}, "CONJ-5.1.b": {"prime_hi": 500}}
+
+    def test_deep_range_is_twice_the_default_unless_named(self):
+        for claim in CLAIMS.values():
+            rng = claim.default_range
+            want = rng.override(**{"n_max": 2 * rng.n_max, "prime_hi": 5000,
+                                   **self.DEEP.get(claim.id, {})})
+            assert verify.effective_range(claim, deep=True) == want, claim.id
+
 
 SMALL = {
     # fast per-claim override ranges for the everything-verifies sweep
@@ -1110,12 +1124,13 @@ _SMALL_AT_3_2 = {"n_max": 12, "prime_hi": 50, "b_set": [3], "c_set": [2]}
     (claims._MSQ_SUM, (3, 2, 1, 3), ("COR-1.1.c", "THM-1.3.c")),
     (claims._MSQ_SUM, (3, 2, -1, 3), ("COR-1.1.d", "THM-1.3.d")),
     (claims._S411, (3, 2, 0), ("COR-1.1.ab", "THM-1.3.a", "EQ-4.11")),
+    (claims._S411, (3, 2, 1), ("COR-1.1.ab", "THM-1.3.b", "EQ-4.11")),
     # the triangle partial sums at j = 2: entry 7 is m = 7, or m = 6 for EQ-4.12
     (claims._S42, 2, ("EQ-4.2",)),
     (claims._S410, (2, 1), ("EQ-4.10",)),
     (claims._S412, 2, ("EQ-4.12",)),
     (claims._S3P, 2, ("EQ-3.partial",)),
-], ids=["M", "T", "D=T(3,2)", "s=M(3,2)", "sum-s^2", "alt-sum-s^2", "sum-D*D",
+], ids=["M", "T", "D=T(3,2)", "s=M(3,2)", "sum-s^2", "alt-sum-s^2", "sum-D*D", "sum-k^3*D*D",
         "EQ-4.2", "EQ-4.10", "EQ-4.12", "EQ-3.partial"])
 def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, dependents):
     """One wrong table or running-sum entry (index 7) must refute every claim
@@ -1132,6 +1147,28 @@ def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, depende
     finally:
         seq._reset_caches()
     assert statuses() == dict.fromkeys(dependents, "verified")
+
+
+@pytest.mark.parametrize("key, special, general", [
+    ((3, 2, 1, 3), "COR-1.1.c", "THM-1.3.c"),
+    ((1, 1, -1, 3), "ID-1.8", "THM-1.3.d"),
+], ids=["COR-1.1.c", "ID-1.8"])
+def test_specialization_refutes_as_theorem_1_3(key, special, general):
+    """COR-1.1.c and ID-1.8 are Theorem 1.3's checkers at a fixed (b, c): with
+    one running-sum entry wrong, each refutes n = 7 with the theorem's text."""
+    def witnesses(claim_id, overrides):
+        return [(x["params"]["n"], x["lhs"], x["rhs"])
+                for x in verify_claim(claim_id, overrides).counterexamples]
+
+    seq._reset_caches()
+    try:
+        claims._MSQ_SUM.prefix(40, key)
+        claims._MSQ_SUM._data[key][7] += 1
+        got = witnesses(special, {"n_max": 12})
+        assert [n for n, _, _ in got] == [7]
+        assert got == witnesses(general, {"n_max": 12, "b_set": [key[0]], "c_set": [key[1]]})
+    finally:
+        seq._reset_caches()
 
 
 @pytest.mark.parametrize("helper, dependents", [

@@ -95,8 +95,7 @@ class TestRingOps:
     @given(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=60, max_size=90),
            st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=60, max_size=90))
     @settings(max_examples=20, deadline=None)
-    def test_kronecker_path_matches_schoolbook(self, a, b):
-        # long operands with large signed coefficients
+    def test_long_products_with_large_signed_coefficients(self, a, b):
         pa, pb = Poly(a), Poly(b)
         assert_product_by_evaluation(pa, pb, pa * pb)
 
