@@ -65,15 +65,33 @@ def t_quotient(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 class _Acc(seq._PrefixCache):
-    """Cached accumulator A(n) = step(A(n-1), n, key) with A(start-1) = init."""
+    """Cached accumulator A(n) = step(A(n-1), n, key) with A(start-1) = init.
+
+    ``at`` fills the key's list itself: the list is made holding entry 0,
+    A(start-1) = init, and entry k is stepped from entry k-1, read by
+    position, never from the end.
+    """
 
     def __init__(self, start: int, step, init=0):
-        super().__init__(lambda prefix, n, key: step(prefix[n - start], n, key) if n >= start
-                         else init, start - 1)
+        super().__init__(step, start - 1)
+        self._init = init
 
-    # A binding of its own, so accumulator lookups can be traced apart from
+    # A method of its own, so accumulator lookups can be traced apart from
     # the sequence tables and the other caches.
-    at = seq._PrefixCache.at
+    def at(self, n: int, key=()):
+        """A(n) of ``key``, filling the key's list up to it."""
+        vals = self._data.get(key)
+        j = n - self._start
+        if vals is not None and 0 <= j < len(vals):
+            return vals[j]
+        if j < 0:
+            raise ValueError(f"cache index {n} below start {self._start}")
+        if vals is None:
+            vals = self._data.setdefault(key, [self._init])
+        step, start = self._step, self._start
+        while (k := len(vals)) <= j:
+            vals[k:k + 1] = (step(vals[k - 1], start + k, key),)
+        return vals[j]
 
 
 # These steps unpack their key.  Lambdas that sliced it took 2.5 ms instead of
@@ -219,9 +237,8 @@ def _fail(lhs, rhs):
 
 def _divides(value: int, divisor: int):
     """Divisibility with the 0 | x convention (only 0 is divisible by 0)."""
-    if divisor == 0:
-        return value == 0, value
-    return value % divisor == 0, value % divisor
+    rem = value % divisor if divisor else value
+    return rem == 0, rem
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ W(x) = -(1 - 2x - 3x^2) T(x) / (1 - x)^2, not through the recurrence the
 verifier checks for it (REC-W).
 
 All tables, and the other caches of the package, are ``_PrefixCache``
-instances, and ``_reset_caches()`` empties every one of them.  No cache
-takes a lock: a step reads the entries before its own by position, never
-from the end, and a fill stores entry k by the one slice assignment
+instances, and ``_reset_caches()`` empties every one of them.  A cache's
+``at`` fills the key's list itself, in one loop up to the entry it reads.
+No cache takes a lock: a step reads the entries before its own by position,
+never from the end, and a fill stores entry k by the one slice assignment
 ``vals[k:k + 1] = (value,)``.  Threads that fill the same entry compute it
 from the same entries, so they store equal values at the same position.
 Values never depend on the cache state, and all functions are safe to call
@@ -37,12 +38,13 @@ _CACHES: weakref.WeakSet[_PrefixCache] = weakref.WeakSet()
 class _PrefixCache:
     """Keyed prefix cache: entry i of ``key`` is ``step(prefix, i, key)``.
 
-    Entries are filled in order from index ``start``; ``prefix`` is the
-    key's list, which holds entries ``start .. i-1`` and may hold more.  A
-    step reads entry j as ``prefix[j - start]``, never from the end, and
-    never calls its own cache.  A fill stores entry i by one slice
-    assignment, which appends it or overwrites an equal value that another
-    thread stored first.  Every instance registers, weakly, with ``_reset_caches``.
+    ``at`` fills the key's list itself, in order from index ``start`` up to
+    the entry it reads; ``prefix`` is that list, which holds entries
+    ``start .. i-1`` and may hold more.  A step reads entry j as
+    ``prefix[j - start]``, never from the end, and never calls its own
+    cache.  A fill stores entry i by one slice assignment, which appends it
+    or overwrites an equal value that another thread stored first.  Every
+    instance registers, weakly, with ``_reset_caches``.
     """
 
     def __init__(self, step, start: int = 0):
@@ -52,25 +54,26 @@ class _PrefixCache:
         _CACHES.add(self)
 
     def at(self, i: int, key=()):
-        """Entry i of ``key``."""
+        """Entry i of ``key``, filling the key's list up to it."""
         vals = self._data.get(key)
-        if vals is not None and 0 <= i - self._start < len(vals):
-            return vals[i - self._start]
-        return self._fill(i, key)[i - self._start]
+        j = i - self._start
+        if vals is not None and 0 <= j < len(vals):
+            return vals[j]
+        if j < 0:
+            raise ValueError(f"cache index {i} below start {self._start}")
+        if vals is None:
+            vals = self._data.setdefault(key, [])
+        step, start = self._step, self._start
+        while (k := len(vals)) <= j:
+            vals[k:k + 1] = (step(vals, start + k, key),)
+        return vals[j]
 
     def prefix(self, i: int, key=()) -> list:
         """Entries start..i of ``key`` as a fresh list (empty for i < start)."""
         if i < self._start:
             return []
-        return self._fill(i, key)[: i - self._start + 1]
-
-    def _fill(self, i: int, key) -> list:
-        if i < self._start:
-            raise ValueError(f"cache index {i} below start {self._start}")
-        vals = self._data.setdefault(key, [])
-        while (k := len(vals)) <= i - self._start:
-            vals[k:k + 1] = (self._step(vals, self._start + k, key),)
-        return vals
+        self.at(i, key)
+        return self._data[key][: i - self._start + 1]
 
 
 def _reset_caches() -> None:

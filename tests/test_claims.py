@@ -1348,18 +1348,16 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
     assert got == [expected] * (3 * n_threads)
 
 
-def test_concurrent_running_sum_fills_agree_with_the_sums():
-    # threads that fill one running sum entry by entry, by prefix() at once
-    # and by prefix() at each n, while its steps fill the T_n(b, c) tables,
-    # must all read the defining sums
-    keys = [(b, c) for b in (-3, 1, 2) for c in (-1, 1, 2)]
-    n_max, n_threads, rounds = 100, 6, 10
-    expected = {key: [sum((2 * k + 1) * _t_bc(k, *key) ** 2 * (4 * key[1] - key[0] ** 2)
-                          ** (n - 1 - k) for k in range(n)) for n in range(n_max + 1)]
-                for key in keys}
-    readers = [lambda key: [claims._S31.at(n, key) for n in range(n_max + 1)],
-               lambda key: claims._S31.prefix(n_max, key),
-               lambda key: [claims._S31.prefix(n, key)[-1] for n in range(n_max + 1)]]
+def _race_running_sum(acc, expected: dict) -> None:
+    # threads that fill one running sum (start 1) entry by entry, by prefix()
+    # at once and by prefix() at each n, while its steps fill the sequence
+    # tables, must all read the defining sums, the lists expected[key] of
+    # the entries n = 0..n_max
+    keys = list(expected)
+    n_max, n_threads, rounds = len(expected[keys[0]]) - 1, 6, 10
+    readers = [lambda key: [acc.at(n, key) for n in range(n_max + 1)],
+               lambda key: acc.prefix(n_max, key),
+               lambda key: [acc.prefix(n, key)[-1] for n in range(n_max + 1)]]
     got, errors = [], []
 
     def work(start: threading.Barrier, read) -> None:
@@ -1383,7 +1381,7 @@ def test_concurrent_running_sum_fills_agree_with_the_sums():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert {key: claims._S31.prefix(n_max, key) for key in keys} == expected
+            assert {key: acc.prefix(n_max, key) for key in keys} == expected
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
@@ -1391,12 +1389,97 @@ def test_concurrent_running_sum_fills_agree_with_the_sums():
     assert all(values == expected[key] for key, values in got)
 
 
+def test_concurrent_running_sum_fills_agree_with_the_sums():
+    n_max = 100
+    _race_running_sum(claims._S31, {
+        (b, c): [sum((2 * k + 1) * _t_bc(k, b, c) ** 2 * (4 * c - b * b) ** (n - 1 - k)
+                     for k in range(n)) for n in range(n_max + 1)]
+        for b in (-3, 1, 2) for c in (-1, 1, 2)})
+
+
+def test_concurrent_msq_sum_fills_agree_with_the_sums():
+    # THM-1.3.c/d's sums, both signs, and MUT-ID-1.8's weight, over the
+    # M_n(b, c) tables that the steps fill
+    n_max = 60
+    _race_running_sum(claims._MSQ_SUM, {
+        (b, c, sigma, e): [sum((k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
+                               * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n))
+                           for n in range(n_max + 1)]
+        for b, c, sigma, e in ((1, 1, -1, 3), (1, 1, -1, 4), (3, 2, 1, 3), (3, 2, -1, 3),
+                               (2, -1, 1, 3), (-3, 2, -1, 3))})
+
+
+# Every accumulator of the claims with the index of its first term and its
+# value before it, A(start - 1).
+_ACC_STARTS = [("_WSUM_M", 1, 0), ("_TT_SUM", 1, 0), ("_MSQ_SUM", 1, 0), ("_S31", 1, 0),
+               ("_S411", 1, 0), ("_WSUM_W", 1, 0), ("_E28_LHS", 0, 0), ("_E34_LHS", 0, (0, 0)),
+               ("_POW_SUM", 1, (ZERO, ZERO)), ("_S42", 1, 0), ("_S410", 1, 0), ("_S412", 0, 0),
+               ("_S3P", 1, 0)]
+
+
+def test_every_accumulator_has_its_start_listed():
+    assert sorted(name for name, _, _ in _ACC_STARTS) == sorted(
+        name for name, v in vars(claims).items() if isinstance(v, claims._Acc))
+
+
+@pytest.mark.parametrize("name, start, init", _ACC_STARTS, ids=[a for a, _, _ in _ACC_STARTS])
+def test_accumulator_reads_init_before_its_first_term_and_stores_nothing_below(name, start, init):
+    # A(start - 1) is init, with no step run (the key is one no step could
+    # read); an index below it raises and stores nothing, cold or warm
+    acc, key = getattr(claims, name), ("no step reads this key",)
+    seq._reset_caches()
+    try:
+        with pytest.raises(ValueError):
+            acc.at(start - 2, key)
+        assert key not in acc._data
+        assert acc.prefix(start - 2, key) == [] and key not in acc._data
+        assert acc.at(start - 1, key) == init
+        assert acc.prefix(start - 1, key) == [init]
+        with pytest.raises(ValueError):
+            acc.at(start - 2, key)
+        assert acc._data[key] == [init]
+    finally:
+        seq._reset_caches()
+
+
+# (accumulator, key) for the cold fills: every keyed sum, and the two pairs
+# with tuple entries
+_COLD_FILLS = [(acc, key) for acc, key, _ in _KEYED_SUMS] + [
+    ("_E34_LHS", ()), ("_POW_SUM", (claims._S_POLY, (), 2)), ("_POW_SUM", (claims._W_POLY, 1, 1))]
+
+
+@pytest.mark.parametrize("name, key", _COLD_FILLS,
+                         ids=[f"{acc}-{i}" for i, (acc, _) in enumerate(_COLD_FILLS)])
+def test_cold_accumulator_read_is_the_entry_by_entry_fill(name, key):
+    # a cold at(40) fills the key's list in one loop; it must hold the
+    # entries that reading A(start - 1), A(start), ..., A(40) one at a time
+    # stores, and prefix() must be a fresh copy of those reads
+    acc, start = getattr(claims, name), {a: s for a, s, _ in _ACC_STARTS}[name]
+    seq._reset_caches()
+    try:
+        last = acc.at(40, key)
+        cold = list(acc._data[key])
+        seq._reset_caches()
+        one_by_one = [acc.at(n, key) for n in range(start - 1, 41)]
+        assert cold == one_by_one and last == one_by_one[-1]
+        assert len(cold) == 42 - start
+        for n in (start - 1, start, 17, 40):
+            got = acc.prefix(n, key)
+            assert got == one_by_one[:n - start + 2]
+            got.append(None)
+            assert acc.prefix(n, key) == one_by_one[:n - start + 2]
+    finally:
+        seq._reset_caches()
+
+
 def test_every_cached_entry_is_its_step_on_the_whole_list():
     # A step reads the entries before its own by position, so entry j
     # recomputed from the whole list, later entries included, is the stored
     # one; a step that read from the end would read a later entry.  Each of
     # the package's caches must be filled past two entries, so that each
-    # step reads one (tests register caches of their own as well).
+    # step reads one (tests register caches of their own as well).  An
+    # accumulator's step reads only the entry before its own, so its list
+    # must start at init and step each entry from the one before it.
     seq._reset_caches()
     try:
         run_suite("all", {"n_max": 12, "prime_hi": 50})
@@ -1405,6 +1488,12 @@ def test_every_cached_entry_is_its_step_on_the_whole_list():
             assert max(map(len, cache._data.values()), default=0) >= 3, cache._step
         for cache in list(seq._CACHES):
             for key, vals in list(cache._data.items()):
+                if isinstance(cache, claims._Acc):
+                    assert vals[0] == cache._init, (cache._step, key)
+                    for j in range(1, len(vals)):
+                        assert cache._step(vals[j - 1], cache._start + j, key) == vals[j], (
+                            cache._step, key, j)
+                    continue
                 for j, value in enumerate(vals):
                     assert cache._step(vals, cache._start + j, key) == value, (cache._step, key, j)
     finally:
