@@ -108,7 +108,7 @@ def _s411_step(prev, n, key):
 
 
 def _e34_step(prev, n, _key):
-    r = (2 * n + 1) * _hom_eval(_T2_ROW.at(n), 1, -3)
+    r = (2 * n + 1) * _T2_SUM.at(n, (1, -3))[0]
     return 3 * prev[0] + r, prev[1] + (16 * n * n - 30 * n + 21) * r
 
 
@@ -195,15 +195,13 @@ def _ratio_row(t: int, ks: Iterable[int], ratio):
         t = t * num // den
 
 
-# coefficient rows of the (b, c)-sums, keyed by n alone and evaluated at (c, d) by _hom_eval:
+# coefficient rows of the (b, c)-sums, keyed by n alone; the sums below evaluate them at (c, d):
 # C(n+j,2j)C(2j,j)^2 for j = 0..n, and C(n+k+1,2k)C(2k,k)C(2k,k+1) for k = 1..n+1
 _T2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_ratio_row(  # LEM-3.1.b, LEM-4.1, EQ-3.4
     1, range(n + 1), lambda j: ((n + j + 1) * (n - j) * (4 * j + 2), (j + 1) ** 3))))
 _M2_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_ratio_row(  # REM-2.1, EQ-2.8, LEM-2.1.a
     (n + 1) * (n + 2), range(1, n + 2),
     lambda k: ((n + k + 2) * (n - k + 1) * (4 * k + 2), k * (k + 1) * (k + 2)))))
-_T2W_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(  # LEM-4.1: (n-j) times entry j < n
-    (n - j) * w for j, w in enumerate(_T2_ROW.at(n)[:n])), start=1)
 # EQ-4.11, keyed by delta: entry j < n is (n(n+1))^(delta+1) C(n-1,j)C(n+j+1,j)C(2j,j)/(j+delta+1)
 _EQ411_ROW = seq._PrefixCache(lambda _prefix, n, delta: tuple(_ratio_row(
     (n * (n + 1)) ** (delta + 1) // (delta + 1), range(n),
@@ -214,10 +212,37 @@ _W_INVERSE_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_binomial_trans
     [seq.w_coeff(n, j) for j in range(1, n + 1)], -1)), start=1)
 
 
+def _t2_sum_step(_prefix, n, key):
+    """LEM-3.1.b's sum S = sum_j row_j c^j d^(n-j) and dS/dd from one Horner pass in d: der
+    steps by acc just before acc steps (Knuth, TAOCP vol. 2, 4.6.4)."""
+    c, d = key
+    acc = der = 0
+    cj = 1
+    for w in _T2_ROW.at(n):
+        der = der * d + acc
+        acc = acc * d + w * cj
+        cj *= c
+    return acc, der
+
+
+def _eq411_step(_prefix, n, key):
+    c, d, delta = key
+    return _hom_eval(_EQ411_ROW.at(n, delta), c, d)
+
+
+# The (b, c)-sums by row n, keyed (c, d) with d = b^2 - 4c, or (c, d, delta): no value reads b,
+# so b and -b read one entry.  LEM-3.1.b reads S, LEM-4.1 b*dS/dd, EQ-3.4 S at (1, -3)
+_T2_SUM = seq._PrefixCache(_t2_sum_step)
+# REM-2.1, and EQ-2.8's rows at (1, -3)
+_M2_SUM = seq._PrefixCache(lambda _prefix, n, key: _hom_eval(_M2_ROW.at(n), *key))
+# EQ-4.11, twice its closed form over b
+_EQ411_SUM = seq._PrefixCache(_eq411_step, start=1)
+
+
 def _e28_row(k: int) -> int:
     """sum_l F(k, l) = (2k+1)/((k+1)(k+2)) sum_l C(k+l+2,2l+2)C(2l+2,l+1)C(2l+2,l)(-3)^(k-l).
-    The sum is REM-2.1's row k at (c, d) = (1, -3), (k+1)(k+2)M_k^2, so the division is exact."""
-    q, r = divmod(_hom_eval(_M2_ROW.at(k), 1, -3), (k + 1) * (k + 2))
+    The sum is REM-2.1's sum k at (c, d) = (1, -3), (k+1)(k+2)M_k^2, so the division is exact."""
+    q, r = divmod(_M2_SUM.at(k, (1, -3)), (k + 1) * (k + 2))
     if r:
         raise NonIntegral(f"EQ-2.8 row {k}: remainder {r}", r)
     return (2 * k + 1) * q
@@ -430,7 +455,7 @@ def _check_lem_2_1_a(point):
 def _check_rem_2_1(point):
     b, c, n = point
     lhs = (n + 1) * (n + 2) * seq.gen_motzkin(n, b, c) ** 2
-    rhs = _hom_eval(_M2_ROW.at(n), c, b * b - 4 * c)
+    rhs = _M2_SUM.at(n, (c, b * b - 4 * c))
     if lhs != rhs:
         return _fail(f"(n+1)(n+2)*M_n^2 = {lhs}", f"sum = {rhs}")
     return _ok()
@@ -659,7 +684,7 @@ def _check_lem_3_1_a(point):
 def _check_lem_3_1_b(point):
     b, c, k = point
     lhs = seq.gen_trinomial(k, b, c) ** 2
-    rhs = _hom_eval(_T2_ROW.at(k), c, b * b - 4 * c)
+    rhs = _T2_SUM.at(k, (c, b * b - 4 * c))[0]
     if lhs != rhs:
         return _fail(f"T_k^2 = {lhs}", f"sum = {rhs}")
     return _ok()
@@ -728,7 +753,7 @@ def _check_lem_3_4(point):
 def _check_lem_4_1(point):
     b, c, n = point
     lhs = n * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c)
-    rhs = b * _hom_eval(_T2W_ROW.at(n), c, b * b - 4 * c)
+    rhs = b * _T2_SUM.at(n, (c, b * b - 4 * c))[1]
     if lhs != rhs:
         return _fail(f"n*T_n*T_(n-1) = {lhs}", f"b*sum = {rhs}")
     return _ok()
@@ -818,7 +843,7 @@ def _check_eq_4_10(point):
 def _check_eq_4_11(point):
     b, c, delta, n = point
     lhs = _S411.at(n, (b, c, delta))
-    total = b * _hom_eval(_EQ411_ROW.at(n, delta), c, b * b - 4 * c)  # twice the closed form
+    total = b * _EQ411_SUM.at(n, (c, b * b - 4 * c, delta))  # twice the closed form
     if 2 * lhs != total:
         return _fail(f"weighted T-sum = {lhs}", f"closed form = {Fraction(total, 2)}")
     return _ok()

@@ -759,22 +759,29 @@ class TestScaledIntegerSides:
 # coefficient rows (and LEM-2.4 running residues mod p) instead, and must
 # report the same values.
 
+# LEM-3.1.b's sum at (c, d) and its d-derivative, LEM-4.1's sum over b
+def _t2_cd_pair(c: int, d: int, n: int) -> tuple[int, int]:
+    return (sum(comb(n + j, 2 * j) * comb(2 * j, j) ** 2 * c ** j * d ** (n - j)
+                for j in range(n + 1)),
+            sum((n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2 * c ** j * d ** (n - 1 - j)
+                for j in range(n)))
+
+
+def _m2_cd_sum(c: int, d: int, n: int) -> int:
+    return sum(comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1)
+               * c ** (k - 1) * d ** (n + 1 - k) for k in range(1, n + 2))
+
+
 def _lem_3_1_b_rhs(b: int, c: int, k: int) -> int:
-    d = b * b - 4 * c
-    return sum(comb(k + j, 2 * j) * comb(2 * j, j) ** 2 * c ** j * d ** (k - j)
-               for j in range(k + 1))
+    return _t2_cd_pair(c, b * b - 4 * c, k)[0]
 
 
 def _lem_4_1_rhs(b: int, c: int, n: int) -> int:
-    d = b * b - 4 * c
-    return b * sum((n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2
-                   * c ** j * d ** (n - 1 - j) for j in range(n))
+    return b * _t2_cd_pair(c, b * b - 4 * c, n)[1]
 
 
 def _rem_2_1_rhs(b: int, c: int, n: int) -> int:
-    d = b * b - 4 * c
-    return sum(comb(n + k + 1, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1)
-               * c ** (k - 1) * d ** (n + 1 - k) for k in range(1, n + 2))
+    return _m2_cd_sum(c, b * b - 4 * c, n)
 
 
 def _eq_4_11_entry(n: int, delta: int, j: int) -> int:
@@ -785,10 +792,13 @@ def _eq_4_11_entry(n: int, delta: int, j: int) -> int:
     return entry
 
 
+def _eq_4_11_cd_sum(c: int, d: int, delta: int, n: int) -> int:
+    return sum(_eq_4_11_entry(n, delta, j) * c ** j * d ** (n - 1 - j) for j in range(n))
+
+
 def _eq_4_11_comb_sum(b: int, c: int, delta: int, n: int) -> int:
     """Twice EQ-4.11's closed form."""
-    d = b * b - 4 * c
-    return b * sum(_eq_4_11_entry(n, delta, j) * c ** j * d ** (n - 1 - j) for j in range(n))
+    return b * _eq_4_11_cd_sum(c, b * b - 4 * c, delta, n)
 
 
 def _eq_3_4_lhs(n: int) -> int:
@@ -880,11 +890,17 @@ class TestCachedRows:
                 _, text = _fail_texts(monkeypatch, seq, table, check, (n, k))
                 assert text == prefix + str(rhs(n, k)), (n, k)
 
-    def test_lem_4_1_weighted_row(self):
-        # entry j < n of LEM-4.1's row is n - j times entry j of LEM-3.1.b's
-        for n in range(1, 41):
-            assert claims._T2W_ROW.at(n) == tuple(
-                (n - j) * comb(n + j, 2 * j) * comb(2 * j, j) ** 2 for j in range(n)), n
+    def test_cd_sums_are_their_comb_sums(self):
+        # every (c, d) of the small grid, d = 0 and c = 0 included: the pair
+        # (S, dS/dd) of LEM-3.1.b's sum, REM-2.1's sum and EQ-4.11's at both deltas
+        for c, d in sorted({(c, b * b - 4 * c) for b, c, _ in _grid_small_points(15)}):
+            for n in range(41):
+                assert claims._T2_SUM.at(n, (c, d)) == _t2_cd_pair(c, d, n), (c, d, n)
+                assert claims._M2_SUM.at(n, (c, d)) == _m2_cd_sum(c, d, n), (c, d, n)
+            for delta in (0, 1):
+                for n in range(1, 41):
+                    assert claims._EQ411_SUM.at(n, (c, d, delta)) == _eq_4_11_cd_sum(
+                        c, d, delta, n), (c, d, delta, n)
 
     def test_eq_4_11_sum(self, monkeypatch):
         # the checker's right side, with a left side that no point matches
@@ -1261,6 +1277,48 @@ def test_perturbed_row_coefficient_is_caught_and_reset_clears_it(row, key, bump,
     assert statuses() == dict.fromkeys(perturbed, "verified")
 
 
+_PLUS_MINUS_3_AT_2 = {"n_max": 12, "b_set": [3, -3], "c_set": [2]}
+_CD_READERS = ("LEM-3.1.b", "LEM-4.1", "REM-2.1", "EQ-4.11", "EQ-3.4", "EQ-2.8")
+
+
+@pytest.mark.parametrize("cache, key, half, readers", [
+    (claims._T2_SUM, (2, 1), 0, {"LEM-3.1.b"}),
+    (claims._T2_SUM, (2, 1), 1, {"LEM-4.1"}),
+    (claims._M2_SUM, (2, 1), None, {"REM-2.1"}),
+    (claims._EQ411_SUM, (2, 1, 0), None, {"EQ-4.11"}),
+    (claims._EQ411_SUM, (2, 1, 1), None, {"EQ-4.11"}),
+], ids=["T^2-sum", "T^2-derivative", "M^2-sum", "EQ-4.11-delta0", "EQ-4.11-delta1"])
+def test_perturbed_cd_sum_is_caught_at_b_and_minus_b_and_reset_clears_it(cache, key, half,
+                                                                          readers):
+    """Entry 7 of a (c, d)-keyed sum at (2, 1), or one half of it, plus 1,
+    must refute exactly the claims that read it, at n = 7 and at both b = 3
+    and b = -3, which share the entry; after the one reset all verify again."""
+    def reports():
+        return {cid: verify_claim(cid, _PLUS_MINUS_3_AT_2) for cid in _CD_READERS}
+
+    seq._reset_caches()
+    try:
+        cache.prefix(20, key)
+        entry = cache.at(7, key)
+        if half is None:
+            entry += 1
+        else:
+            entry = tuple(v + (i == half) for i, v in enumerate(entry))
+        cache._data[key][7 - cache._start] = entry
+        for cid, report in reports().items():
+            if cid not in readers:
+                assert report.status == "verified", cid
+                continue
+            assert report.status == "counterexample", cid
+            # (b, c[, delta], n): EQ-4.11's key ends in the delta it reads
+            points = {tuple(w["params"].values()) for w in report.counterexamples}
+            assert points == {(b, 2, *key[2:], 7) for b in (3, -3)}, cid
+    finally:
+        seq._reset_caches()
+    assert {cid: r.status for cid, r in reports().items()} == dict.fromkeys(_CD_READERS,
+                                                                            "verified")
+
+
 def _drop_rotation_3(monkeypatch) -> None:
     """Skip the rotation of the prime 3 in the Phi_d test, so a d with 3 | d
     asks for the sum to vanish at roots of q^(d/3) - 1 as well."""
@@ -1348,23 +1406,25 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
     assert got == [expected] * (3 * n_threads)
 
 
-def _race_running_sum(acc, expected: dict) -> None:
-    # threads that fill one running sum (start 1) entry by entry, by prefix()
-    # at once and by prefix() at each n, while its steps fill the sequence
-    # tables, must all read the defining sums, the lists expected[key] of
-    # the entries n = 0..n_max
-    keys = list(expected)
-    n_max, n_threads, rounds = len(expected[keys[0]]) - 1, 6, 10
-    readers = [lambda key: [acc.at(n, key) for n in range(n_max + 1)],
-               lambda key: acc.prefix(n_max, key),
-               lambda key: [acc.prefix(n, key)[-1] for n in range(n_max + 1)]]
+def _race_fills(expected: dict, n_threads: int = 6) -> None:
+    # threads that fill prefix caches entry by entry, by at() at each n, by
+    # prefix() at once and by prefix() at each n, while the steps fill the
+    # tables and rows they read, must all read expected[(cache, key)], the
+    # list of the key's entries from the cache's start on
+    jobs, rounds = list(expected), 10
+    readers = [lambda cache, key, n_max: [cache.at(n, key) for n in range(cache._start, n_max + 1)],
+               lambda cache, key, n_max: cache.prefix(n_max, key),
+               lambda cache, key, n_max: [cache.prefix(n, key)[-1]
+                                          for n in range(cache._start, n_max + 1)]]
     got, errors = [], []
 
-    def work(start: threading.Barrier, read) -> None:
+    def work(start: threading.Barrier, i: int) -> None:
+        read = readers[i % len(readers)]
         try:
             start.wait()
-            for key in keys:
-                got.append((key, read(key)))
+            for cache, key in jobs[i % len(jobs):] + jobs[:i % len(jobs)]:
+                n_max = cache._start + len(expected[cache, key]) - 1
+                got.append(((cache, key), read(cache, key, n_max)))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -1374,26 +1434,26 @@ def _race_running_sum(acc, expected: dict) -> None:
         for _ in range(rounds):
             seq._reset_caches()
             start = threading.Barrier(n_threads, timeout=60)
-            threads = [threading.Thread(target=work, args=(start, readers[i % len(readers)]))
-                       for i in range(n_threads)]
+            threads = [threading.Thread(target=work, args=(start, i)) for i in range(n_threads)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert {key: acc.prefix(n_max, key) for key in keys} == expected
+            assert all(cache._data[key] == expected[cache, key] for cache, key in jobs)
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert len(got) == rounds * n_threads * len(keys)
-    assert all(values == expected[key] for key, values in got)
+    assert len(got) == rounds * n_threads * len(jobs)
+    assert all(values == expected[job] for job, values in got)
 
 
 def test_concurrent_running_sum_fills_agree_with_the_sums():
     n_max = 100
-    _race_running_sum(claims._S31, {
-        (b, c): [sum((2 * k + 1) * _t_bc(k, b, c) ** 2 * (4 * c - b * b) ** (n - 1 - k)
-                     for k in range(n)) for n in range(n_max + 1)]
+    _race_fills({
+        (claims._S31, (b, c)): [
+            sum((2 * k + 1) * _t_bc(k, b, c) ** 2 * (4 * c - b * b) ** (n - 1 - k)
+                for k in range(n)) for n in range(n_max + 1)]
         for b in (-3, 1, 2) for c in (-1, 1, 2)})
 
 
@@ -1401,12 +1461,25 @@ def test_concurrent_msq_sum_fills_agree_with_the_sums():
     # THM-1.3.c/d's sums, both signs, and MUT-ID-1.8's weight, over the
     # M_n(b, c) tables that the steps fill
     n_max = 60
-    _race_running_sum(claims._MSQ_SUM, {
-        (b, c, sigma, e): [sum((k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
-                               * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n))
-                           for n in range(n_max + 1)]
+    _race_fills({
+        (claims._MSQ_SUM, (b, c, sigma, e)): [
+            sum((k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
+                * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n))
+            for n in range(n_max + 1)]
         for b, c, sigma, e in ((1, 1, -1, 3), (1, 1, -1, 4), (3, 2, 1, 3), (3, 2, -1, 3),
                                (2, -1, 1, 3), (-3, 2, -1, 3))})
+
+
+def test_concurrent_cd_sum_fills_agree_with_the_oracle():
+    # LEM-3.1.b's pair and EQ-4.11's sum from a cold cache, rows included,
+    # at keys with d = 0 and c = 0 among them
+    n_max = 60
+    expected = {(claims._T2_SUM, (c, d)): [_t2_cd_pair(c, d, n) for n in range(n_max + 1)]
+                for c, d in ((2, 1), (-1, 8), (0, 4), (1, 0))}
+    expected.update({(claims._EQ411_SUM, (c, d, delta)): [
+        _eq_4_11_cd_sum(c, d, delta, n) for n in range(1, n_max + 1)]
+        for c, d in ((2, 1), (-1, 8), (1, 0)) for delta in (0, 1)})
+    _race_fills(expected, n_threads=8)
 
 
 # Every accumulator of the claims with the index of its first term and its
