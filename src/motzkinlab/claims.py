@@ -7,8 +7,9 @@ or ``("fail", lhs, rhs)``; grids yield ``Skip`` outside a claim's domain,
 and the engine in ``verify`` joins the report parts of point blocks in order.
 
 Four deliberately broken variants (MUT-*) are registered alongside the real
-claims; they must produce counterexamples and exist to prove the verifiers
-are not vacuous.
+claims.  Each runs its real claim's checker with one weight changed, so it
+must produce counterexamples, and a checker that passes everything turns its
+fixture verified: the fixtures prove the checkers are not vacuous.
 """
 from __future__ import annotations
 
@@ -119,9 +120,9 @@ def _pow_step(prev, n, key):
 
 
 # One running sum per sum of the paper, keyed by the constants that vary.  A
-# MUT-* fixture reads its real claim's sum with one weight key changed, and
-# Corollary 1.1 reads Theorem 1.3's sums at (b, c) = (3, 2), where d = 1,
-# D_k = T_k(3,2) and s_k = M_(k-1)(3,2).
+# MUT-* fixture runs its real claim's checker with the weight key e changed,
+# and Corollary 1.1 runs Theorem 1.3's checkers at (b, c) = (3, 2), where
+# d = 1, D_k = T_k(3,2) and s_k = M_(k-1)(3,2).
 # sum_{k=1..n} (2k+e) M_k^2, keyed by e: the claims read e = 1, MUT-THM-1.1.i e = 2
 _WSUM_M = _Acc(1, lambda prev, n, e: prev + (2 * n + e) * seq.motzkin(n) ** 2)
 # sum_{k=0..n-1} k(k+1)(8k+e) T_k T_{k+1}, keyed by e: the claims read e = 9,
@@ -354,9 +355,9 @@ def _exponent_points(*, a_lo: int, even: bool) -> Grid:
 # Checkers: theorems and corollaries
 # ---------------------------------------------------------------------------
 
-def _check_thm_1_1_i(point):
+def _check_thm_1_1_i(point, e=1):
     n = point
-    total = 2 * _WSUM_M.at(n, 1)
+    total = 2 * _WSUM_M.at(n, e)
     ok, rem = _divides(total, n)
     if not ok:
         return _fail(f"2*sum = {total} = {rem} (mod {n})", "0 (mod n)")
@@ -372,14 +373,14 @@ def _check_thm_1_1_ii(point):
     return _ok()
 
 
-def _check_thm_1_2(point):
+def _check_thm_1_2(point, e=9):
     n = point
-    total = _TT_SUM.at(n, 9)
-    divisor = n * n * (n * n - 1) // 6
-    ok, rem = _divides(6 * total, n * n * (n * n - 1))
+    total = _TT_SUM.at(n, e)
+    divisor = n * n * (n * n - 1) // 6  # 6 divides (n-1)n(n+1)
+    ok, rem = _divides(total, divisor)
     if not ok:
-        return _fail(f"sum = {total}, remainder {rem}", f"0 (mod {divisor})")
-    return _ok(6 * total // (n * n * (n * n - 1)) if n >= 2 else None)
+        return _fail(f"sum = {total} = {rem} (mod {divisor})", "0 (mod n^2(n^2-1)/6)")
+    return _ok(total // divisor if n >= 2 else None)
 
 
 def _check_thm_1_3_a(point):
@@ -412,12 +413,12 @@ def _check_thm_1_3_c(point):
     return _ok()
 
 
-def _check_thm_1_3_d(point):
+def _check_thm_1_3_d(point, e=3):
     b, c, n = point
     mm = seq.gen_motzkin(n, b, c) * seq.gen_motzkin(n - 1, b, c)
     if mm % abs(b):
         return _fail(f"M_n*M_(n-1) = {mm}", f"0 (mod b = {b})")
-    lhs = b * _MSQ_SUM.at(n, (b, c, -1, 3))
+    lhs = b * _MSQ_SUM.at(n, (b, c, -1, e))
     rhs = n * (n + 1) * (n + 2) * mm
     if lhs != rhs:
         return _fail(f"b*alt-sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")
@@ -970,35 +971,10 @@ def _check_integrality(point):
 
 
 # ---------------------------------------------------------------------------
-# Checkers: mutation fixtures (must produce counterexamples)
+# Checkers: mutation fixtures (real checkers, one weight changed; must fail)
 # ---------------------------------------------------------------------------
-
-def _check_mut_thm_1_1_i(point):
-    n = point
-    total = 2 * _WSUM_M.at(n, 2)
-    ok, rem = _divides(total, n)
-    if not ok:
-        return _fail(f"2*sum (2k+2)M_k^2 = {rem} (mod {n})", "0 (mod n)")
-    return _ok()
-
-
-def _check_mut_thm_1_2(point):
-    n = point
-    ok, rem = _divides(6 * _TT_SUM.at(n, 10), n * n * (n * n - 1))
-    if not ok:
-        return _fail(f"6*sum k(k+1)(8k+10)T_k*T_(k+1): remainder {rem}",
-                     "0 (mod n^2(n^2-1))")
-    return _ok()
-
-
-def _check_mut_id_1_8(point):
-    n = point
-    lhs = _MSQ_SUM.at(n, (1, 1, -1, 4))
-    rhs = n * (n + 1) * (n + 2) * seq.motzkin(n) * seq.motzkin(n - 1)
-    if lhs != rhs:
-        return _fail(f"mutated sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")
-    return _ok()
-
+# MUT-THM-1.1.i, MUT-THM-1.2 and MUT-ID-1.8 register THM-1.1.i's, THM-1.2's
+# and THM-1.3.d's checkers with the weight key e changed.
 
 def _check_mut_lem_2_3(point):
     n = point
@@ -1052,19 +1028,14 @@ _BASE = ParamRange()
 CLAIMS: dict[str, Claim] = {}
 
 
-def _register(claim: Claim) -> Claim:
-    if claim.id in CLAIMS:
-        raise ValueError(f"duplicate claim id {claim.id}")
-    CLAIMS[claim.id] = claim
-    return claim
-
-
 def _mk(claim_id, suite, statement, grid, check, *, deep=None, notes=None,
         **range_overrides):
+    if claim_id in CLAIMS:
+        raise ValueError(f"duplicate claim id {claim_id}")
     rng = _BASE.override(**range_overrides) if range_overrides else _BASE
     # --deep: twice the default n_max and primes to 5000, unless the claim says otherwise
     deep_rng = rng.override(**{"n_max": 2 * rng.n_max, "prime_hi": 5000, **(deep or {})})
-    return _register(Claim(claim_id, suite, statement, grid, check, rng, deep_rng, notes))
+    CLAIMS[claim_id] = Claim(claim_id, suite, statement, grid, check, rng, deep_rng, notes)
 
 _mk("THM-1.1.i", "theorems",
     "2/n * sum_{k=1..n} (2k+1)*M_k^2 is an integer",
@@ -1220,13 +1191,13 @@ _mk("CONJ-5.3.ab", "conjectures",
 
 _mk("MUT-THM-1.1.i", None,
     "mutation fixture: weight (2k+1) perturbed to (2k+2); must yield a counterexample",
-    _n_points(), _check_mut_thm_1_1_i, n_max=25)
+    _n_points(), lambda n: _check_thm_1_1_i(n, e=2), n_max=25)
 _mk("MUT-THM-1.2", None,
     "mutation fixture: weight (8k+9) perturbed to (8k+10); must yield a counterexample",
-    _n_points(), _check_mut_thm_1_2, n_max=25)
+    _n_points(), lambda n: _check_thm_1_2(n, e=10), n_max=25)
 _mk("MUT-ID-1.8", None,
     "mutation fixture: weight (2k+3) perturbed to (2k+4); must yield a counterexample",
-    _n_points(), _check_mut_id_1_8, n_max=25)
+    _n_points(), lambda n: _check_thm_1_3_d((1, 1, n), e=4), n_max=25)
 _mk("MUT-LEM-2.3", None,
     "mutation fixture: [k+2]_q perturbed to [k+3]_q at a = b = 1; must yield a counterexample",
     _n_points(), _check_mut_lem_2_3, n_max=25)

@@ -2,10 +2,10 @@
 and the Schroder/Narayana polynomial families.
 
 Coefficients are Python ints stored in ascending degree order with no
-trailing zeros; the zero polynomial has degree ``None``.  Every polynomial
-statement the claims check lives in Z[x] or Z[q], so division is exact
-division in Z[x]: a leading coefficient that does not divide raises
-``NotDivisible``.
+trailing zeros; the zero polynomial has degree ``None``.  No claim's checker
+divides polynomials: ``div_rem`` and ``exact_div`` serve the public ``Poly``
+API, the tests' oracles and the benchmark's probe.  Division is in Z[x], so a
+leading coefficient that does not divide raises ``NotDivisible``.
 """
 from __future__ import annotations
 

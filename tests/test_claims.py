@@ -13,6 +13,7 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -197,6 +198,12 @@ class TestRegistry:
 
     def test_registry_is_exhaustive(self):
         assert set(CLAIMS) == self.EXPECTED_IDS
+
+    def test_a_registered_id_cannot_register_again(self):
+        claim = CLAIMS["THM-1.1.i"]
+        with pytest.raises(ValueError, match="duplicate claim id THM-1.1.i"):
+            claims._mk(claim.id, claim.suite, claim.statement, claim.grid, claim.check)
+        assert CLAIMS["THM-1.1.i"] is claim
 
     def test_every_claim_has_kind_and_statement(self):
         # a claim's kind is its suite; only the mutation fixtures have none
@@ -1095,21 +1102,28 @@ class TestConjecture53Interpretations:
 
 
 class TestMutationSensitivity:
-    @pytest.mark.parametrize("claim_id", ["MUT-THM-1.1.i", "MUT-THM-1.2",
-                                          "MUT-ID-1.8", "MUT-LEM-2.3"])
+    @pytest.mark.parametrize("claim_id", TestRegistry.MUTATIONS)
     def test_mutation_yields_counterexample(self, claim_id):
         report = verify_claim(claim_id)
         assert report.status == "counterexample"
         first = report.counterexamples[0]["params"]["n"]
         assert first <= 25
 
+    # the real claim's checker that each fixture runs, with one weight changed
+    @pytest.mark.parametrize("claim_id, checker", zip(TestRegistry.MUTATIONS, (
+        "_check_thm_1_1_i", "_check_thm_1_2", "_check_thm_1_3_d", "_lem_2_3_point")))
+    def test_a_checker_that_always_passes_makes_its_fixture_verify(
+            self, monkeypatch, claim_id, checker):
+        monkeypatch.setattr(claims, checker, lambda *args, **kwargs: claims._ok())
+        assert verify_claim(claim_id).status == "verified"
+
     # sha256 of each fixture's default report without elapsed_ms.  Each
-    # fixture reads its real claim's running sum with one weight key
-    # changed, so a wrong key changes the report and its digest.
+    # fixture runs its real claim's checker with one weight key changed, so
+    # a wrong key or a changed witness text changes the report and its digest.
     MUTATION_DIGESTS = {
-        "MUT-THM-1.1.i": "9a25a656189fff866bb950c242e4b2e6fcb66dc8cc92a9ca48e12818684fbcaf",
-        "MUT-THM-1.2": "b5ad7629a8004926e75f40c9078e52bd57dcfb4e6d075fd4e13df3f85defd3a9",
-        "MUT-ID-1.8": "0ac416f13d31495ead01f0b9ce63ee3ad7e2a51c0ab47333f524be00a147a583",
+        "MUT-THM-1.1.i": "70f0989312bf6b3ea0e5cd14e2048de087b550ba9b5c128be34b648c836d3bb6",
+        "MUT-THM-1.2": "da56bf5ed410f4da19bb4b6eafd200761ca13d82f683280e6f1bf83c34da18e2",
+        "MUT-ID-1.8": "7e76ac636c6cbaf1cbb6075bf0ce62bf691ac02636f9c6771ef5346c671d4836",
         "MUT-LEM-2.3": "0d6aa66699ad9be499b8e91063700158c79de572762d861f397c2a2fea676cbe",
     }
 
@@ -1185,6 +1199,24 @@ def test_specialization_refutes_as_theorem_1_3(key, special, general):
         assert got == witnesses(general, {"n_max": 12, "b_set": [key[0]], "c_set": [key[1]]})
     finally:
         seq._reset_caches()
+
+
+def test_theorem_1_2_witness_is_its_sum_mod_its_modulus():
+    """With one entry of THM-1.2's running sum off by 1, the witness at n = 7
+    prints the sum's remainder mod the modulus it prints."""
+    seq._reset_caches()
+    try:
+        claims._TT_SUM.prefix(40, 9)
+        claims._TT_SUM._data[9][7] += 1
+        report = verify_claim("THM-1.2", {"n_max": 12})
+    finally:
+        seq._reset_caches()
+    assert [x["params"]["n"] for x in report.counterexamples] == [7]
+    witness = report.counterexamples[0]
+    assert witness["rhs"] == "0 (mod n^2(n^2-1)/6)"
+    total, rem, modulus = map(int, re.fullmatch(r"sum = (\d+) = (\d+) \(mod (\d+)\)",
+                                                witness["lhs"]).groups())
+    assert modulus == 7 * 7 * 48 // 6 and rem == total % modulus == 1
 
 
 @pytest.mark.parametrize("helper, dependents", [
