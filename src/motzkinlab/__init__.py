@@ -7,8 +7,7 @@ The sequences, polynomials, and q-objects exported here are the ones the
 claims, the ``seq`` command, and the scripts read."""
 
 from .claims import CLAIMS, NonIntegral, s_quotient, t_quotient
-from .polynomials import (NotDivisible, Poly, big_schroder_poly, q_binomial,
-                          q_integer, s_poly, w_poly)
+from .polynomials import Poly, big_schroder_poly, q_binomial, q_integer, s_poly, w_poly
 from .reports import (ParamRange, VerificationReport, reports_to_csv,
                       reports_to_json)
 from .sequences import (catalan, central_trinomial, delannoy,
@@ -20,7 +19,7 @@ from .verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLAIMS", "NonIntegral", "NotDivisible", "ParamRange", "Poly", "SUITES",
+    "CLAIMS", "NonIntegral", "ParamRange", "Poly", "SUITES",
     "UnknownClaim", "UnknownSuite", "VerificationReport", "__version__",
     "big_schroder_poly", "catalan", "central_trinomial", "delannoy",
     "gen_motzkin", "gen_trinomial", "motzkin", "motzkin_analog_w", "narayana",

@@ -4,34 +4,13 @@ from __future__ import annotations
 from math import isqrt
 
 
-# Deterministic Miller-Rabin witness set for n < 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 2^64 (strong probable-prime test
-    with the fixed witness set beyond that)."""
+    """Trial division: each n asked about is a prime of at most 10^7 (the cap in
+    ParamRange.validate) or a divisor of n in LEM-2.3's q-Lucas check."""
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
+    for p in range(2, isqrt(n) + 1):
         if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
             return False
     return True
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from motzkinlab import sequences as seq
-from motzkinlab.claims import s_quotient, t_quotient
+from motzkinlab.claims import CLAIMS, s_quotient, t_quotient
 from motzkinlab.reports import reports_to_json
 from motzkinlab.verify import run_suite, verify_claim
 
@@ -226,8 +226,11 @@ def test_conjectures_5_8_to_5_9():
 
 
 def test_mutation_sensitivity():
+    # every fixture the registry holds, so a new one is checked too
+    fixtures = [c for c in CLAIMS if c.startswith("MUT-")]
+    assert fixtures
     results = {}
-    for claim_id in ("MUT-THM-1.1.i", "MUT-THM-1.2", "MUT-ID-1.8", "MUT-LEM-2.3"):
+    for claim_id in fixtures:
         report = verify_claim(claim_id, {"n_max": 25})
         results[claim_id] = (report.status == "counterexample"
                              and report.counterexamples[0]["params"]["n"] <= 25)

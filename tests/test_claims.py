@@ -1111,7 +1111,7 @@ class TestMutationSensitivity:
 
     # the real claim's checker that each fixture runs, with one weight changed
     @pytest.mark.parametrize("claim_id, checker", zip(TestRegistry.MUTATIONS, (
-        "_check_thm_1_1_i", "_check_thm_1_2", "_check_thm_1_3_d", "_lem_2_3_point")))
+        "_check_thm_1_1_i", "_check_thm_1_2", "_check_thm_1_3_d", "_check_lem_2_3")))
     def test_a_checker_that_always_passes_makes_its_fixture_verify(
             self, monkeypatch, claim_id, checker):
         monkeypatch.setattr(claims, checker, lambda *args, **kwargs: claims._ok())

@@ -35,6 +35,12 @@ class TestPrimes:
         # Carmichael numbers must not fool the test
         for n in (561, 1105, 1729, 2465, 2821, 6601):
             assert not is_prime(n)
+        primes = set(primes_in(2, 9999))
+        assert all(is_prime(n) == (n in primes) for n in range(-5, 10000))
+        # the top of the range that ParamRange.validate allows; 3137 * 3163
+        # has no factor below 3137, near isqrt(10^7)
+        assert is_prime(9999991) and not is_prime(10 ** 7 - 1)
+        assert not is_prime(3137 * 3163)
 
 
 class TestLegendre:
