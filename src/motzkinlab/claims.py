@@ -100,14 +100,15 @@ class _Acc(seq._PrefixCache):
 # These steps unpack their key.  Lambdas that sliced it took 2.5 ms instead of
 # 1.5 ms for COR-1.1.ab's two sums to n = 333 (Python 3.11, 2-vCPU VM).
 def _msq_step(prev, n, key):
-    b, c, sigma, e = key
-    return sigma * (b * b - 4 * c) * prev + n * (n + 1) * (2 * n - 2 + e) * seq.gen_motzkin(n - 1, b, c) ** 2
+    b, c, e = key
+    d, t = b * b - 4 * c, n * (n + 1) * (2 * n - 2 + e) * seq.gen_motzkin(n - 1, b, c) ** 2
+    return d * prev[0] + t, t - d * prev[1]
 
 
 def _s411_step(prev, n, key):
-    b, c, delta = key
-    return ((b * b - 4 * c) * prev
-            + n ** (2 * delta + 1) * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c))
+    b, c = key
+    d, t = b * b - 4 * c, n * seq.gen_trinomial(n, b, c) * seq.gen_trinomial(n - 1, b, c)
+    return d * prev[0] + t, d * prev[1] + n * n * t
 
 
 def _e34_step(prev, n, _key):
@@ -131,16 +132,17 @@ _WSUM_M = _Acc(1, lambda prev, n, e: prev + (2 * n + e) * seq.motzkin(n) ** 2)
 # MUT-THM-1.2 e = 10
 _TT_SUM = _Acc(1, lambda prev, n, e: prev + (n - 1) * n * (8 * n - 8 + e)
                * seq.central_trinomial(n - 1) * seq.central_trinomial(n))
-# sum_{k=0..n-1} (k+1)(k+2)(2k+e) M_k(b,c)^2 (sigma*d)^(n-1-k), keyed (b, c, sigma, e)
-# with sigma = +1 or -1: THM-1.3.c/d read (b, c, +-1, 3), ID-1.8 (1, 1, -1, 3),
-# COR-1.1.c/d (3, 2, +-1, 3) and MUT-ID-1.8 (1, 1, -1, 4)
-_MSQ_SUM = _Acc(1, _msq_step)
+# sum_{k=0..n-1} (k+1)(k+2)(2k+e) M_k(b,c)^2 (sigma*d)^(n-1-k) for the pair sigma = (+1, -1),
+# keyed (b, c, e); one term serves both signs.  THM-1.3.c/d read (b, c, 3), ID-1.8 the
+# sigma = -1 half at (1, 1, 3), COR-1.1.c/d (3, 2, 3) and MUT-ID-1.8 the -1 half at (1, 1, 4)
+_MSQ_SUM = _Acc(1, _msq_step, init=(0, 0))
 # sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k), with -d = 4c - b^2
 _S31 = _Acc(1, lambda prev, n, key: (4 * key[1] - key[0] ** 2) * prev
             + (2 * n - 1) * seq.gen_trinomial(n - 1, *key) ** 2)
-# sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k), keyed (b, c, delta); THM-1.3.a
-# reads delta = 0, THM-1.3.b delta = 1, COR-1.1.ab (3, 2, 0) and (3, 2, 1)
-_S411 = _Acc(1, _s411_step)
+# sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k) for the pair delta = (0, 1), keyed (b, c);
+# one product k*T_k*T_(k-1) serves both.  THM-1.3.a reads delta = 0, THM-1.3.b delta = 1,
+# COR-1.1.ab both at (3, 2) and EQ-4.11 the half of its delta
+_S411 = _Acc(1, _s411_step, init=(0, 0))
 # sum_{k=0..n-1} (alpha*k+beta) W_k^2, keyed (alpha, beta): CONJ-5.1.a/b read
 # (8, 9) and REM-5.1 (0, 1)
 _WSUM_W = _Acc(1, lambda prev, n, key: prev
@@ -229,16 +231,22 @@ def _t2_sum_step(_prefix, n, key):
 
 
 def _eq411_step(_prefix, n, key):
-    c, d, delta = key
-    return _hom_eval(_EQ411_ROW.at(n, delta), c, d)
+    """EQ-4.11's sums at delta = 0 and 1, one homogeneous Horner pass over both rows in step."""
+    c, d = key
+    acc0, acc1, cj = 0, 0, 1
+    for w0, w1 in zip(_EQ411_ROW.at(n, 0), _EQ411_ROW.at(n, 1)):
+        acc0 = acc0 * d + w0 * cj
+        acc1 = acc1 * d + w1 * cj
+        cj *= c
+    return acc0, acc1
 
 
-# The (b, c)-sums by row n, keyed (c, d) with d = b^2 - 4c, or (c, d, delta): no value reads b,
-# so b and -b read one entry.  LEM-3.1.b reads S, LEM-4.1 b*dS/dd, EQ-3.4 S at (1, -3)
+# The (b, c)-sums by row n, keyed (c, d) with d = b^2 - 4c: no value reads b, so b and -b
+# read one entry.  LEM-3.1.b reads S, LEM-4.1 b*dS/dd, EQ-3.4 S at (1, -3)
 _T2_SUM = seq._PrefixCache(_t2_sum_step)
 # REM-2.1, and EQ-2.8's rows at (1, -3)
 _M2_SUM = seq._PrefixCache(lambda _prefix, n, key: _hom_eval(_M2_ROW.at(n), *key))
-# EQ-4.11, twice its closed form over b
+# EQ-4.11, twice its closed form over b, as the pair delta = (0, 1)
 _EQ411_SUM = seq._PrefixCache(_eq411_step, start=1)
 
 
@@ -387,7 +395,7 @@ def _check_thm_1_2(point, e=9):
 
 def _check_thm_1_3_a(point):
     b, c, n = point
-    total = _S411.at(n, (b, c, 0))
+    total = _S411.at(n, (b, c))[0]
     divisor = abs(b) * (n * (n + 1) // 2)
     ok, rem = _divides(total, divisor)
     if not ok:
@@ -397,7 +405,7 @@ def _check_thm_1_3_a(point):
 
 def _check_thm_1_3_b(point):
     b, c, n = point
-    total = 3 * _S411.at(n, (b, c, 1))
+    total = 3 * _S411.at(n, (b, c))[1]
     divisor = abs(b) * (n * (n + 1) // 2) ** 2
     ok, rem = _divides(total, divisor)
     if not ok:
@@ -407,7 +415,7 @@ def _check_thm_1_3_b(point):
 
 def _check_thm_1_3_c(point):
     b, c, n = point
-    total = gcd(2, n) * _MSQ_SUM.at(n, (b, c, 1, 3))
+    total = gcd(2, n) * _MSQ_SUM.at(n, (b, c, 3))[0]
     divisor = n * (n + 1) * (n + 2)
     ok, rem = _divides(total, divisor)
     if not ok:
@@ -420,7 +428,7 @@ def _check_thm_1_3_d(point, e=3):
     mm = seq.gen_motzkin(n, b, c) * seq.gen_motzkin(n - 1, b, c)
     if mm % abs(b):
         return _fail(f"M_n*M_(n-1) = {mm}", f"0 (mod b = {b})")
-    lhs = b * _MSQ_SUM.at(n, (b, c, -1, e))
+    lhs = b * _MSQ_SUM.at(n, (b, c, e))[1]
     rhs = n * (n + 1) * (n + 2) * mm
     if lhs != rhs:
         return _fail(f"b*alt-sum = {lhs}", f"n(n+1)(n+2)*M_n*M_(n-1) = {rhs}")
@@ -841,8 +849,8 @@ def _check_eq_4_10(point):
 
 def _check_eq_4_11(point):
     b, c, delta, n = point
-    lhs = _S411.at(n, (b, c, delta))
-    total = b * _EQ411_SUM.at(n, (c, b * b - 4 * c, delta))  # twice the closed form
+    lhs = _S411.at(n, (b, c))[delta]
+    total = b * _EQ411_SUM.at(n, (c, b * b - 4 * c))[delta]  # twice the closed form
     if 2 * lhs != total:
         return _fail(f"weighted T-sum = {lhs}", f"closed form = {Fraction(total, 2)}")
     return _ok()

@@ -4,14 +4,16 @@ with deterministic report assembly, plus the named claim suites.
 A block of consecutive points is checked by ``_eval_chunk``, which returns
 its part of the report: the checked count, the skips, the table rows and
 the counterexamples.  A serial run is one part.  A parallel one cuts the
-points into ``4·jobs`` contiguous blocks and sends one task per worker:
-task ``w`` checks blocks ``w, w + jobs, w + 2·jobs, …`` in turn
-(``_eval_blocks``).  The parts are joined in block order, so a report's
-content is identical for any worker count.  ``run_claims`` runs any list of
-claims, a suite's included, and owns the only pool.  ``stop_on_first`` stops
-the evaluation at the first counterexample.  In a pooled run every task
-starts at once, and each stops at its own first counterexample.  The join
-drops the parts after the first block with one, and no later claim runs.
+points into ``4·jobs`` contiguous blocks, deals them back and forth to one
+task per worker (``_deal``), so that blocks ``i`` and ``4·jobs − 1 − i``
+(``b`` and ``−b`` on a symmetric ``b``-set) share a task, and each task
+checks its blocks in turn (``_eval_blocks``).  The parts are joined in
+block order, so a report's content is identical for any worker count.
+``run_claims`` runs any list of claims, a suite's included, and owns the
+only pool.  ``stop_on_first`` stops the evaluation at the first
+counterexample.  In a pooled run every task starts at once, and each stops
+at its own first counterexample.  The join drops the parts after the first
+block with one, and no later claim runs.
 """
 from __future__ import annotations
 
@@ -132,19 +134,26 @@ def _eval_blocks(claim_id: str, blocks: list, stop_on_first: bool = False) -> tu
     return parts, None
 
 
+def _deal(i: int, tasks: int) -> int:
+    """The task of block ``i``: position ``i mod tasks`` in even rounds of
+    ``tasks`` blocks, and ``tasks − 1`` minus it in odd rounds."""
+    r, w = divmod(i, tasks)
+    return tasks - 1 - w if r % 2 else w
+
+
 def _block_parts(futures):
     """Yield the parts of the blocks in order: block ``i`` is entry
-    ``i // len(futures)`` of task ``i % len(futures)``.  A block that raised
-    in its task raises here, when the join reaches it."""
+    ``i // len(futures)`` of task ``_deal(i, len(futures))``.  A block that
+    raised in its task raises here, when the join reaches it."""
     for i in itertools.count():
-        parts, error = futures[i % len(futures)].result()
+        parts, error = futures[_deal(i, len(futures))].result()
         k = i // len(futures)
         if k < len(parts):
             yield parts[k]
         elif error is not None:
             exc, text = error
             raise exc from _WorkerTraceback(text)
-        else:  # past the last block
+        else:  # past the last block: a round deals each task at most one block
             return
 
 
@@ -155,11 +164,12 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
 
     With ``jobs > 1`` a claim of more than 8 points is cut into ``4·jobs``
     contiguous blocks, and ``executor`` gets one task per worker, each with
-    every ``jobs``-th block; without an executor, ``run_claims`` starts the
-    pool.  With ``stop_on_first`` each task stops at its own first
-    counterexample, and the join drops the parts after the first one.  A
-    block that raises is re-raised only when the join reaches it, so a
-    pooled run raises exactly when the serial run does.
+    one block of every round of ``jobs``, dealt back and forth by ``_deal``;
+    without an executor, ``run_claims`` starts the pool.  With
+    ``stop_on_first`` each task stops at its own first counterexample, and
+    the join drops the parts after the first one.  A block that raises is
+    re-raised only when the join reaches it, so a pooled run raises exactly
+    when the serial run does.
     """
     if jobs > 1 and executor is None:
         return run_claims([claim_id], overrides, deep=deep, stop_on_first=stop_on_first,
@@ -173,8 +183,9 @@ def verify_claim(claim_id: str, overrides: dict | None = None, *,
         size = -(-len(points) // (jobs * 4))
         blocks = [points[lo:lo + size] for lo in range(0, len(points), size)]
         tasks = min(jobs, len(blocks))
-        parts = _block_parts([executor.submit(_eval_blocks, claim.id, blocks[w::tasks],
-                                              stop_on_first) for w in range(tasks)])
+        dealt = [[b for i, b in enumerate(blocks) if _deal(i, tasks) == w] for w in range(tasks)]
+        parts = _block_parts([executor.submit(_eval_blocks, claim.id, task, stop_on_first)
+                              for task in dealt])
     else:
         parts = [_eval_chunk(claim.id, points, stop_on_first)]
     checked, skipped, table, counterexamples = _join(parts, stop_on_first)

@@ -96,8 +96,8 @@ def _w(k: int) -> int:
     return sum(comb(k, 2 * j) * comb(2 * j, j) // (2 * j - 1) for j in range(k // 2 + 1))
 
 
-# Each (running sum, key) that a checker reads, with the sum as the claim
-# states it.  Corollary 1.1's keys at (b, c) = (3, 2) are written with D_k
+# Each (running sum, constants) that a checker reads, with the sum as the
+# claim states it.  Corollary 1.1's keys at (b, c) = (3, 2) are written with D_k
 # and s_k, the MUT-* keys with their changed weight.
 _KEYED_SUMS = [
     ("_WSUM_M", 1, lambda n: sum((2 * k + 1) * _m_bc(k, 1, 1) ** 2 for k in range(1, n + 1))),
@@ -146,11 +146,23 @@ _KEYED_SUMS = [
 ]
 
 
+# A pair sum holds two halves of one statement under one key: the constants
+# (b, c, sigma, e) name half (1 - sigma) // 2 of _MSQ_SUM's key (b, c, e), and
+# (b, c, delta) half delta of _S411's key (b, c).
+_HALF_OF = {"_MSQ_SUM": lambda b, c, sigma, e: ((b, c, e), (1 - sigma) // 2),
+            "_S411": lambda b, c, delta: ((b, c), delta)}
+
+
 @pytest.mark.parametrize("acc, key, oracle", _KEYED_SUMS,
                          ids=[f"{acc}-{key}" for acc, key, _ in _KEYED_SUMS])
 def test_keyed_sum_matches_its_defining_sum(acc, key, oracle):
     cache = getattr(claims, acc)
-    assert [cache.at(n, key) for n in range(1, 61)] == [oracle(n) for n in range(1, 61)]
+    if acc in _HALF_OF:  # the half that the constants name
+        key, half = _HALF_OF[acc](*key)
+        got = [cache.at(n, key)[half] for n in range(1, 61)]
+    else:
+        got = [cache.at(n, key) for n in range(1, 61)]
+    assert got == [oracle(n) for n in range(1, 61)]
 
 
 @pytest.mark.parametrize("family, h, poly", [
@@ -752,7 +764,7 @@ class TestScaledIntegerSides:
         ("_E28_LHS", 0, claims._check_eq_2_8, 7, lambda: f"telescoped form = {_eq_2_8_rhs(7)}"),
         ("_E34_LHS", (0, 0), claims._check_eq_3_4, 7,
          lambda: f"telescoped form = {_eq_3_4_rhs(7)}"),
-        ("_S411", 0, claims._check_eq_4_11, (3, 2, 1, 5),
+        ("_S411", (0, 0), claims._check_eq_4_11, (3, 2, 1, 5),
          lambda: f"closed form = {_eq_4_11_rhs(3, 2, 1, 5)}"),
     ], ids=["EQ-2.8", "EQ-3.4", "EQ-4.11"])
     def test_witness_text_is_the_rational_value(self, monkeypatch, acc, zero, check, point, rhs):
@@ -899,19 +911,19 @@ class TestCachedRows:
 
     def test_cd_sums_are_their_comb_sums(self):
         # every (c, d) of the small grid, d = 0 and c = 0 included: the pair
-        # (S, dS/dd) of LEM-3.1.b's sum, REM-2.1's sum and EQ-4.11's at both deltas
+        # (S, dS/dd) of LEM-3.1.b's sum, REM-2.1's sum and the pair of EQ-4.11's
+        # sums at delta = 0 and 1, each half against its own comb sum
         for c, d in sorted({(c, b * b - 4 * c) for b, c, _ in _grid_small_points(15)}):
             for n in range(41):
                 assert claims._T2_SUM.at(n, (c, d)) == _t2_cd_pair(c, d, n), (c, d, n)
                 assert claims._M2_SUM.at(n, (c, d)) == _m2_cd_sum(c, d, n), (c, d, n)
-            for delta in (0, 1):
-                for n in range(1, 41):
-                    assert claims._EQ411_SUM.at(n, (c, d, delta)) == _eq_4_11_cd_sum(
-                        c, d, delta, n), (c, d, delta, n)
+            for n in range(1, 41):
+                assert claims._EQ411_SUM.at(n, (c, d)) == (
+                    _eq_4_11_cd_sum(c, d, 0, n), _eq_4_11_cd_sum(c, d, 1, n)), (c, d, n)
 
     def test_eq_4_11_sum(self, monkeypatch):
         # the checker's right side, with a left side that no point matches
-        monkeypatch.setattr(claims, "_S411", claims._Acc(1, lambda prev, n, key: _HUGE))
+        monkeypatch.setattr(claims, "_S411", claims._Acc(1, lambda prev, n, key: (_HUGE, _HUGE)))
         for b, c, n in _grid_small_points(1):
             for delta in (0, 1):
                 kind, _, rhs = claims._check_eq_4_11((b, c, delta, n))
@@ -1141,49 +1153,58 @@ class TestMutationSensitivity:
 _SMALL_AT_3_2 = {"n_max": 12, "prime_hi": 50, "b_set": [3], "c_set": [2]}
 
 
-@pytest.mark.parametrize("table, key, dependents", [
-    (seq._GEN_MOTZKIN, (1, 1),
+def _bump_entry_7(table, key, half=None) -> None:
+    """Entry 7 of ``key``, or its ``half`` of a pair, plus 1."""
+    table.prefix(40, key)
+    entry = table._data[key][7]
+    table._data[key][7] = entry + 1 if half is None else tuple(
+        v + (i == half) for i, v in enumerate(entry))
+
+
+@pytest.mark.parametrize("table, key, half, dependents", [
+    (seq._GEN_MOTZKIN, (1, 1), None,
      ("THM-1.1.i", "THM-1.1.ii", "LEM-2.2", "EQ-2.11", "ID-1.8")),
-    (seq._GEN_TRINOMIAL, (1, 1), ("THM-1.2", "LEM-3.2")),
-    (seq._GEN_TRINOMIAL, (3, 2),
+    (seq._GEN_TRINOMIAL, (1, 1), None, ("THM-1.2", "LEM-3.2")),
+    (seq._GEN_TRINOMIAL, (3, 2), None,
      ("COR-1.1.ab", "THM-1.3.a", "THM-1.3.b", "LEM-3.1.a", "LEM-3.1.b", "LEM-4.1",
       "EQ-4.11")),
-    (seq._GEN_MOTZKIN, (3, 2),
+    (seq._GEN_MOTZKIN, (3, 2), None,
      ("COR-1.1.c", "COR-1.1.d", "THM-1.3.c", "THM-1.3.d", "REM-2.1", "LEM-2.1.b")),
-    # Corollary 1.1 reads Theorem 1.3's running sums at (b, c) = (3, 2)
-    (claims._MSQ_SUM, (3, 2, 1, 3), ("COR-1.1.c", "THM-1.3.c")),
-    (claims._MSQ_SUM, (3, 2, -1, 3), ("COR-1.1.d", "THM-1.3.d")),
-    (claims._S411, (3, 2, 0), ("COR-1.1.ab", "THM-1.3.a", "EQ-4.11")),
-    (claims._S411, (3, 2, 1), ("COR-1.1.ab", "THM-1.3.b", "EQ-4.11")),
+    # Corollary 1.1 reads Theorem 1.3's running sums at (b, c) = (3, 2), one
+    # half of a pair each
+    (claims._MSQ_SUM, (3, 2, 3), 0, ("COR-1.1.c", "THM-1.3.c")),
+    (claims._MSQ_SUM, (3, 2, 3), 1, ("COR-1.1.d", "THM-1.3.d")),
+    (claims._S411, (3, 2), 0, ("COR-1.1.ab", "THM-1.3.a", "EQ-4.11")),
+    (claims._S411, (3, 2), 1, ("COR-1.1.ab", "THM-1.3.b", "EQ-4.11")),
     # the triangle partial sums at j = 2: entry 7 is m = 7, or m = 6 for EQ-4.12
-    (claims._S42, 2, ("EQ-4.2",)),
-    (claims._S410, (2, 1), ("EQ-4.10",)),
-    (claims._S412, 2, ("EQ-4.12",)),
-    (claims._S3P, 2, ("EQ-3.partial",)),
+    (claims._S42, 2, None, ("EQ-4.2",)),
+    (claims._S410, (2, 1), None, ("EQ-4.10",)),
+    (claims._S412, 2, None, ("EQ-4.12",)),
+    (claims._S3P, 2, None, ("EQ-3.partial",)),
 ], ids=["M", "T", "D=T(3,2)", "s=M(3,2)", "sum-s^2", "alt-sum-s^2", "sum-D*D", "sum-k^3*D*D",
         "EQ-4.2", "EQ-4.10", "EQ-4.12", "EQ-3.partial"])
-def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, dependents):
-    """One wrong table or running-sum entry (index 7) must refute every claim
-    that reads it, through every accumulator built on it; after the one reset
-    the same claims verify again, so no cache keeps the wrong value."""
+def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, half, dependents):
+    """One wrong table or running-sum entry (index 7), or one half of it,
+    must refute every claim that reads it, through every accumulator built
+    on it; after the one reset the same claims verify again, so no cache
+    keeps the wrong value."""
     def statuses():
         return {cid: verify_claim(cid, _SMALL_AT_3_2).status for cid in dependents}
 
     seq._reset_caches()
     try:
-        table.prefix(40, key)
-        table._data[key][7] += 1
+        _bump_entry_7(table, key, half)
         assert statuses() == dict.fromkeys(dependents, "counterexample")
     finally:
         seq._reset_caches()
     assert statuses() == dict.fromkeys(dependents, "verified")
 
 
-@pytest.mark.parametrize("key, special, general", [
-    ((3, 2, 1, 3), "COR-1.1.c", "THM-1.3.c"),
-    ((1, 1, -1, 3), "ID-1.8", "THM-1.3.d"),
+@pytest.mark.parametrize("key, half, special, general", [
+    ((3, 2, 3), 0, "COR-1.1.c", "THM-1.3.c"),
+    ((1, 1, 3), 1, "ID-1.8", "THM-1.3.d"),
 ], ids=["COR-1.1.c", "ID-1.8"])
-def test_specialization_refutes_as_theorem_1_3(key, special, general):
+def test_specialization_refutes_as_theorem_1_3(key, half, special, general):
     """COR-1.1.c and ID-1.8 are Theorem 1.3's checkers at a fixed (b, c): with
     one running-sum entry wrong, each refutes n = 7 with the theorem's text."""
     def witnesses(claim_id, overrides):
@@ -1192,13 +1213,31 @@ def test_specialization_refutes_as_theorem_1_3(key, special, general):
 
     seq._reset_caches()
     try:
-        claims._MSQ_SUM.prefix(40, key)
-        claims._MSQ_SUM._data[key][7] += 1
+        _bump_entry_7(claims._MSQ_SUM, key, half)
         got = witnesses(special, {"n_max": 12})
         assert [n for n, _, _ in got] == [7]
         assert got == witnesses(general, {"n_max": 12, "b_set": [key[0]], "c_set": [key[1]]})
     finally:
         seq._reset_caches()
+
+
+@pytest.mark.parametrize("acc, key, wrong, right", [
+    (claims._S411, (3, 2), "THM-1.3.b", "THM-1.3.a"),
+    (claims._MSQ_SUM, (3, 2, 3), "THM-1.3.d", "THM-1.3.c"),
+], ids=["delta=1", "sigma=-1"])
+def test_wrong_second_half_refutes_its_part_alone(acc, key, wrong, right):
+    """One pair sum serves two parts of Theorem 1.3.  With the delta = 1 (or
+    sigma = -1) half of entry 7 plus 1, the part reading that half is refuted
+    at n = 7, and the part reading the other half still verifies: no half is
+    computed from the other."""
+    seq._reset_caches()
+    try:
+        _bump_entry_7(acc, key, 1)
+        reports = {cid: verify_claim(cid, _SMALL_AT_3_2) for cid in (wrong, right)}
+    finally:
+        seq._reset_caches()
+    assert [x["params"]["n"] for x in reports[wrong].counterexamples] == [7]
+    assert reports[right].status == "verified"
 
 
 def test_theorem_1_2_witness_is_its_sum_mod_its_modulus():
@@ -1317,8 +1356,8 @@ _CD_READERS = ("LEM-3.1.b", "LEM-4.1", "REM-2.1", "EQ-4.11", "EQ-3.4", "EQ-2.8")
     (claims._T2_SUM, (2, 1), 0, {"LEM-3.1.b"}),
     (claims._T2_SUM, (2, 1), 1, {"LEM-4.1"}),
     (claims._M2_SUM, (2, 1), None, {"REM-2.1"}),
-    (claims._EQ411_SUM, (2, 1, 0), None, {"EQ-4.11"}),
-    (claims._EQ411_SUM, (2, 1, 1), None, {"EQ-4.11"}),
+    (claims._EQ411_SUM, (2, 1), 0, {"EQ-4.11"}),
+    (claims._EQ411_SUM, (2, 1), 1, {"EQ-4.11"}),
 ], ids=["T^2-sum", "T^2-derivative", "M^2-sum", "EQ-4.11-delta0", "EQ-4.11-delta1"])
 def test_perturbed_cd_sum_is_caught_at_b_and_minus_b_and_reset_clears_it(cache, key, half,
                                                                           readers):
@@ -1342,9 +1381,10 @@ def test_perturbed_cd_sum_is_caught_at_b_and_minus_b_and_reset_clears_it(cache, 
                 assert report.status == "verified", cid
                 continue
             assert report.status == "counterexample", cid
-            # (b, c[, delta], n): EQ-4.11's key ends in the delta it reads
+            # (b, c[, delta], n): EQ-4.11 reads the half of its delta
             points = {tuple(w["params"].values()) for w in report.counterexamples}
-            assert points == {(b, 2, *key[2:], 7) for b in (3, -3)}, cid
+            delta = (half,) if cid == "EQ-4.11" else ()
+            assert points == {(b, 2, *delta, 7) for b in (3, -3)}, cid
     finally:
         seq._reset_caches()
     assert {cid: r.status for cid, r in reports().items()} == dict.fromkeys(_CD_READERS,
@@ -1490,34 +1530,35 @@ def test_concurrent_running_sum_fills_agree_with_the_sums():
 
 
 def test_concurrent_msq_sum_fills_agree_with_the_sums():
-    # THM-1.3.c/d's sums, both signs, and MUT-ID-1.8's weight, over the
-    # M_n(b, c) tables that the steps fill
+    # THM-1.3.c/d's pair of sums, sigma = +1 and -1, and MUT-ID-1.8's weight,
+    # over the M_n(b, c) tables that the steps fill
+    def msq(b, c, sigma, e, n):
+        return sum((k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
+                   * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n))
+
     n_max = 60
     _race_fills({
-        (claims._MSQ_SUM, (b, c, sigma, e)): [
-            sum((k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
-                * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n))
-            for n in range(n_max + 1)]
-        for b, c, sigma, e in ((1, 1, -1, 3), (1, 1, -1, 4), (3, 2, 1, 3), (3, 2, -1, 3),
-                               (2, -1, 1, 3), (-3, 2, -1, 3))})
+        (claims._MSQ_SUM, (b, c, e)): [(msq(b, c, 1, e, n), msq(b, c, -1, e, n))
+                                       for n in range(n_max + 1)]
+        for b, c, e in ((1, 1, 3), (1, 1, 4), (3, 2, 3), (2, -1, 3), (-3, 2, 3))})
 
 
 def test_concurrent_cd_sum_fills_agree_with_the_oracle():
-    # LEM-3.1.b's pair and EQ-4.11's sum from a cold cache, rows included,
-    # at keys with d = 0 and c = 0 among them
+    # LEM-3.1.b's pair and EQ-4.11's pair of deltas from a cold cache, rows
+    # included, at keys with d = 0 and c = 0 among them
     n_max = 60
     expected = {(claims._T2_SUM, (c, d)): [_t2_cd_pair(c, d, n) for n in range(n_max + 1)]
                 for c, d in ((2, 1), (-1, 8), (0, 4), (1, 0))}
-    expected.update({(claims._EQ411_SUM, (c, d, delta)): [
-        _eq_4_11_cd_sum(c, d, delta, n) for n in range(1, n_max + 1)]
-        for c, d in ((2, 1), (-1, 8), (1, 0)) for delta in (0, 1)})
+    expected.update({(claims._EQ411_SUM, (c, d)): [
+        (_eq_4_11_cd_sum(c, d, 0, n), _eq_4_11_cd_sum(c, d, 1, n)) for n in range(1, n_max + 1)]
+        for c, d in ((2, 1), (-1, 8), (1, 0))})
     _race_fills(expected, n_threads=8)
 
 
 # Every accumulator of the claims with the index of its first term and its
 # value before it, A(start - 1).
-_ACC_STARTS = [("_WSUM_M", 1, 0), ("_TT_SUM", 1, 0), ("_MSQ_SUM", 1, 0), ("_S31", 1, 0),
-               ("_S411", 1, 0), ("_WSUM_W", 1, 0), ("_E28_LHS", 0, 0), ("_E34_LHS", 0, (0, 0)),
+_ACC_STARTS = [("_WSUM_M", 1, 0), ("_TT_SUM", 1, 0), ("_MSQ_SUM", 1, (0, 0)), ("_S31", 1, 0),
+               ("_S411", 1, (0, 0)), ("_WSUM_W", 1, 0), ("_E28_LHS", 0, 0), ("_E34_LHS", 0, (0, 0)),
                ("_POW_SUM", 1, (ZERO, ZERO)), ("_S42", 1, 0), ("_S410", 1, 0), ("_S412", 0, 0),
                ("_S3P", 1, 0)]
 
@@ -1547,9 +1588,10 @@ def test_accumulator_reads_init_before_its_first_term_and_stores_nothing_below(n
         seq._reset_caches()
 
 
-# (accumulator, key) for the cold fills: every keyed sum, and the two pairs
-# with tuple entries
-_COLD_FILLS = [(acc, key) for acc, key, _ in _KEYED_SUMS] + [
+# (accumulator, key) for the cold fills: the key of every keyed sum (each
+# half of a pair sum names its key once), and the two pairs with tuple entries
+_COLD_FILLS = [(acc, _HALF_OF[acc](*key)[0] if acc in _HALF_OF else key)
+               for acc, key, _ in _KEYED_SUMS] + [
     ("_E34_LHS", ()), ("_POW_SUM", (claims._S_POLY, (), 2)), ("_POW_SUM", (claims._W_POLY, 1, 1))]
 
 
@@ -1835,8 +1877,54 @@ class TestEngine:
         assert (reports_to_json([pooled], include_elapsed=False)
                 == reports_to_json([serial], include_elapsed=False))
 
-    # THM-1.1.i at n_max = 25 and jobs = 2: blocks of 4 points (n = 1..4,
-    # 5..8, 9..12, ...); task 0 checks blocks 0, 2, 4, 6 and task 1 blocks 1, 3, 5
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_blocks_are_dealt_back_and_forth(self, jobs):
+        # for every block count up to 4·jobs: each round of blocks goes to
+        # distinct tasks, blocks i and 4·jobs - 1 - i share a task (b and -b
+        # on a symmetric b-set), and so do blocks k and k + 2·jobs
+        for count in range(1, 4 * jobs + 1):
+            tasks = min(jobs, count)
+            task = [verify._deal(i, tasks) for i in range(count)]
+            assert all(0 <= w < tasks for w in task), count
+            for lo in range(0, count, tasks):
+                assert len(set(task[lo:lo + tasks])) == len(task[lo:lo + tasks]), (count, lo)
+            for i in range(count):
+                if 4 * jobs - 1 - i < count:
+                    assert task[i] == task[4 * jobs - 1 - i], (count, i)
+                if i + 2 * jobs < count:
+                    assert task[i] == task[i + 2 * jobs], (count, i)
+
+    @pytest.mark.parametrize("claim_id, cache, entries", [
+        ("LEM-3.1.b", claims._T2_SUM, 36 * 34), ("EQ-4.11", claims._EQ411_SUM, 36 * 33)],
+        ids=["LEM-3.1.b", "EQ-4.11"])
+    def test_pooled_tasks_fill_each_cd_sum_entry_once(self, claim_id, cache, entries):
+        # On a symmetric b-set, b and -b share a task at jobs = 2.  Each task
+        # runs from empty caches, as in a fresh worker, and together they fill
+        # the entries of the (c, d)-sums that the serial run fills: 36 keys
+        # (c, d) times n = 0..33 (1..33 for EQ-4.11), each entry once.
+        overrides = {"n_max": 33, "b_set": [-4, -3, -2, -1, 1, 2, 3, 4],
+                     "c_set": list(range(-4, 5))}
+        filled = []
+
+        class FreshWorkers(TestEngine.InlineExecutor):
+            def submit(self, fn, *args):
+                seq._reset_caches()
+                future = super().submit(fn, *args)
+                filled.append(sum(map(len, cache._data.values())))
+                return future
+
+        seq._reset_caches()
+        try:
+            verify_claim(claim_id, overrides)
+            serial = sum(map(len, cache._data.values()))
+            verify_claim(claim_id, overrides, jobs=2, executor=FreshWorkers())
+        finally:
+            seq._reset_caches()
+        assert len(filled) == 2 and sum(filled) == serial == entries
+
+    # THM-1.1.i at n_max = 25 and jobs = 2: 7 blocks of at most 4 points
+    # (n = 1..4, 5..8, 9..12, ...), dealt back and forth: task 0 checks
+    # blocks 0, 3, 4 and task 1 blocks 1, 2, 5, 6
     def _broken_checker(self, monkeypatch, fail_at, raise_at):
         claim = CLAIMS["THM-1.1.i"]
 
@@ -1851,8 +1939,8 @@ class TestEngine:
 
     def test_pooled_stop_on_first_ends_before_a_later_raise(self, monkeypatch):
         # the first counterexample (n = 5) is in task 1's block 1; task 0
-        # raises in its block 2 (n = 11), which the serial run never reaches
-        self._broken_checker(monkeypatch, fail_at=5, raise_at={11})
+        # raises in its block 3 (n = 13), which the serial run never reaches
+        self._broken_checker(monkeypatch, fail_at=5, raise_at={13})
         inline = self.InlineExecutor()
         pooled = verify_claim("THM-1.1.i", {"n_max": 25}, stop_on_first=True, jobs=2,
                               executor=inline)
@@ -1863,9 +1951,9 @@ class TestEngine:
                 == reports_to_json([serial], include_elapsed=False))
 
     def test_pooled_run_raises_what_the_serial_run_raises(self, monkeypatch):
-        # task 1 raises in block 1 (n = 6), task 0 in block 2 (n = 10); the
+        # task 1 raises in block 1 (n = 6), task 0 in block 3 (n = 14); the
         # serial run raises at n = 6, and so must the join
-        self._broken_checker(monkeypatch, fail_at=None, raise_at={6, 10})
+        self._broken_checker(monkeypatch, fail_at=None, raise_at={6, 14})
         with pytest.raises(ValueError) as serial:
             verify_claim("THM-1.1.i", {"n_max": 25})
         with pytest.raises(ValueError) as pooled:
@@ -1914,7 +2002,7 @@ class TestNonIntegralSignal:
         assert (type(back), str(back), back.remainder) == (type(exc), "demo", exc.remainder)
 
     def test_pooled_run_re_raises_it_with_its_remainder(self, monkeypatch):
-        # THM-1.1.i at n_max = 25 and jobs = 2: n = 11 is in task 0's block 2
+        # THM-1.1.i at n_max = 25 and jobs = 2: n = 11 is in block 2, task 1's second
         claim = CLAIMS["THM-1.1.i"]
 
         def check(n):
