@@ -4,8 +4,8 @@ Exit codes: 0 no counterexample (a claim whose every point was skipped, or
 that has no points in the range, reports "skipped"); 1 at least one
 counterexample (witnesses are in the report output); 2 usage errors (unknown
 sequence, claim, suite, malformed flags or ranges, --jobs below 1, or an
---out path that cannot be written); 3 an
-internal error (an exception raised while checking), reported as one
+--out path that cannot be written); 3 an internal error (an exception raised
+while checking, or while seq computes or prints a value), reported as one
 "error: internal error: ..." line and its traceback on stderr, never as a
 refutation.  --jobs above the number of usable CPUs is lowered to it;
 reports do not depend on --jobs.  --stop-on-first ends the run at the first
@@ -170,23 +170,23 @@ def _exit_code(reports) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "seq":
-        return _cmd_seq(args)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    # a process pool starts all its workers at its first task
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    args.jobs = min(args.jobs, usable)
     out = None
-    if args.out is not None:
-        try:  # like a shell redirection, --out is opened before any claim runs
-            out = open(args.out, "w")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
     try:
+        if args.command == "seq":
+            return _cmd_seq(args)
+        if args.jobs < 1:
+            print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+            return 2
+        # a process pool starts all its workers at its first task
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        args.jobs = min(args.jobs, usable)
+        if args.out is not None:
+            try:  # like a shell redirection, --out is opened before any claim runs
+                out = open(args.out, "w")
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+                return 2
         claim_ids = args.claims if args.command == "verify" else suite_claims(args.name)
         reports = run_claims(claim_ids, _overrides_from(args) or None, deep=args.deep,
                              stop_on_first=args.stop_on_first, jobs=args.jobs)

@@ -315,6 +315,31 @@ def test_grid_names_its_coordinates_and_range_fields(claim_id):
             assert tuple(verify._label(claim, point)) == grid.names
 
 
+# each (b, c) run of a grid, against the nested loops that build it one point at a time
+@pytest.mark.parametrize("kwargs", [
+    {}, {"n_lo": 0}, {"deltas": (0, 1)}, {"deltas": (1, 0), "n_lo": 0},
+    {"d_nonzero": True, "b_nonzero": True}, {"d_nonzero": True, "n_lo": 0},
+    {"b_nonzero": True, "deltas": (0, 1), "n_lo": 0},
+], ids=["plain", "n_lo0", "deltas", "deltas-n_lo0", "skips", "d_nonzero-n_lo0",
+        "b_nonzero-deltas-n_lo0"])
+def test_grid_points_are_the_nested_loops(kwargs):
+    rng = ParamRange().override(n_max=4, b_set=(-2, 0, 2), c_set=(1, 0, -1))
+    n_lo, deltas = kwargs.get("n_lo", 1), kwargs.get("deltas")
+    expected = []
+    for b in rng.b_set:
+        for c in rng.c_set:
+            if kwargs.get("b_nonzero") and b == 0:
+                expected.append(claims.Skip({"b": b, "c": c}, "requires b != 0"))
+            elif kwargs.get("d_nonzero") and b * b == 4 * c:
+                expected.append(claims.Skip({"b": b, "c": c}, "requires d = b^2 - 4c != 0"))
+            elif deltas is None:
+                expected += [(b, c, n) for n in range(n_lo, rng.n_max + 1)]
+            else:
+                expected += [(b, c, delta, n) for delta in deltas
+                             for n in range(n_lo, rng.n_max + 1)]
+    assert list(claims._grid_points(**kwargs).points(rng)) == expected
+
+
 def _tuple_fold_rows(n: int, m_max: int):
     """Rows m = 0..m_max of the q-Pascal triangle mod q^n - 1: row m holds the
     length-n residues of [m k]_q for k = 0..min(m, n-1), as tuples, by
@@ -881,6 +906,11 @@ def _grid_small_points(n_lo: int):
                 yield b, c, n
 
 
+# the claims read T_n(b,c) and M_n(b,c) by key, through these bindings, not
+# through the public functions of sequences
+_CLAIMS_READ = {"gen_trinomial": "_t_at", "gen_motzkin": "_m_at"}
+
+
 class TestCachedRows:
     """Each right side read from a cached row equals its term-by-term sum at
     every point of the small grid (d = 0 at (2, 1) and c = 0 included)."""
@@ -893,7 +923,7 @@ class TestCachedRows:
     def test_reported_right_side(self, monkeypatch, claim_id, table, n_lo, prefix, rhs):
         check = CLAIMS[claim_id].check
         for point in _grid_small_points(n_lo):
-            _, text = _fail_texts(monkeypatch, seq, table, check, point)
+            _, text = _fail_texts(monkeypatch, claims, _CLAIMS_READ[table], check, point)
             assert text == prefix + str(rhs(*point)), point
 
     @pytest.mark.parametrize("claim_id, table, prefix, rhs", [
@@ -1126,7 +1156,7 @@ class TestMutationSensitivity:
         "_check_thm_1_1_i", "_check_thm_1_2", "_check_thm_1_3_d", "_check_lem_2_3")))
     def test_a_checker_that_always_passes_makes_its_fixture_verify(
             self, monkeypatch, claim_id, checker):
-        monkeypatch.setattr(claims, checker, lambda *args, **kwargs: claims._ok())
+        monkeypatch.setattr(claims, checker, lambda *args, **kwargs: claims._OK)
         assert verify_claim(claim_id).status == "verified"
 
     # sha256 of each fixture's default report without elapsed_ms.  Each
@@ -1138,6 +1168,22 @@ class TestMutationSensitivity:
         "MUT-ID-1.8": "7e76ac636c6cbaf1cbb6075bf0ce62bf691ac02636f9c6771ef5346c671d4836",
         "MUT-LEM-2.3": "0d6aa66699ad9be499b8e91063700158c79de572762d861f397c2a2fea676cbe",
     }
+
+    # At n = 4600 each fixture's witness holds an integer of more decimal digits
+    # than int-to-str conversion allows (4300 by default): it renders in exact
+    # hex, and the point is a refutation, not an internal error.
+    @pytest.mark.parametrize("claim_id, prefix, value", [
+        ("MUT-THM-1.1.i", "2*sum = ", lambda n: 2 * claims._WSUM_M.at(n, 2)),
+        ("MUT-THM-1.2", "sum = ", lambda n: claims._TT_SUM.at(n, 10)),
+        ("MUT-ID-1.8", "b*alt-sum = ", lambda n: claims._MSQ_SUM.at(n, (1, 1, 4))[1]),
+    ])
+    def test_witness_past_the_digit_limit_is_exact_hex(self, claim_id, prefix, value):
+        kind, lhs, _ = CLAIMS[claim_id].check(4600)
+        assert kind == "fail" and lhs.startswith(prefix)
+        text = lhs[len(prefix):].split(" = ")[0]
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert text.startswith("0x")
+        assert int(text, 0) == value(4600)
 
     @pytest.mark.parametrize("claim_id", sorted(MUTATION_DIGESTS))
     def test_mutation_report_is_pinned(self, claim_id):
@@ -1876,6 +1922,42 @@ class TestEngine:
         assert inline.submitted == min(3, -(-count // size)) > 1  # one task per worker
         assert (reports_to_json([pooled], include_elapsed=False)
                 == reports_to_json([serial], include_elapsed=False))
+
+    # a checker returns the shared _OK for a verified point without a derived
+    # value; the engine skips its tag and table tests by identity, and an equal
+    # tuple built afresh takes the general path to the same part
+    @pytest.mark.parametrize("claim_id, overrides", [
+        ("THM-1.1.i", {"n_max": 60}),  # derived values, more than the table holds
+        ("THM-1.3.a", {"n_max": 8, "b_set": (-2, 0, 2), "c_set": (1, 2)}),  # _OK and skips
+        ("REC-W", {"n_max": 30}),  # derived values from _ok
+        ("MUT-THM-1.1.i", None),  # counterexamples between verified points
+    ])
+    def test_fresh_ok_result_gives_the_same_part(self, monkeypatch, claim_id, overrides):
+        claim = CLAIMS[claim_id]
+        points = list(claim.grid.points(verify.effective_range(claim, overrides)))
+        shared = verify._eval_chunk(claim_id, points)
+        fresh = [tuple(list(claim.check(point))) for point in points
+                 if not isinstance(point, claims.Skip)]
+        assert not any(result is claims._OK for result in fresh)
+        results = iter(fresh)
+        monkeypatch.setitem(CLAIMS, claim_id,
+                            dataclasses.replace(claim, check=lambda point: next(results)))
+        assert verify._eval_chunk(claim_id, points) == shared
+
+    def test_shared_ok_result_adds_no_table_row(self):
+        checked, skipped, table, counterexamples = verify._eval_chunk(
+            "THM-1.3.a", [(1, 1, n) for n in range(1, 9)])
+        assert claims._check_thm_1_3_a((1, 1, 1)) is claims._OK
+        assert (checked, skipped, table, counterexamples) == (8, [], [], [])
+
+    def test_derived_values_fill_the_table_to_its_cap(self):
+        # THM-1.1.i's derived value is its quotient 2/n * sum (2k+1) M_k^2
+        checked, skipped, table, counterexamples = verify._eval_chunk(
+            "THM-1.1.i", list(range(1, 61)))
+        assert (checked, skipped, counterexamples) == (60, [], [])
+        assert table == [[{"n": n}, 2 * sum((2 * k + 1) * seq.motzkin(k) ** 2
+                                            for k in range(1, n + 1)) // n]
+                         for n in range(1, verify._TABLE_CAP + 1)]
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_blocks_are_dealt_back_and_forth(self, jobs):

@@ -61,6 +61,17 @@ class TestSeq:
         assert (code, out) == (2, "")
         assert err == "error: --max must be >= 0 for 'motzkin'\n"
 
+    def test_crash_in_a_sequence_exits_3(self, capsys, monkeypatch):
+        # seq runs under the handler of verify and suite: exit 1 means refuted
+        def crash(n):
+            raise ValueError(f"boom at {n}")
+
+        monkeypatch.setitem(cli._SEQUENCES, "motzkin", (0, crash))
+        code, out, err = run_cli(capsys, "seq", "motzkin", "--max", "3")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == "error: internal error: ValueError: boom at 0"
+        assert "Traceback (most recent call last):" in err
+
     def test_params_rejected_for_plain_sequence(self, capsys):
         code, _, err = run_cli(capsys, "seq", "catalan", "--max", "3", "--b", "1", "--c", "1")
         assert code == 2
