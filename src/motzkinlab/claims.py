@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from . import modular, sequences as seq
 from .polynomials import (Poly, ZERO, _binomial_transform, _expand_in_y, _fold, _Packed,
                           big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
-from .reports import ParamRange
+from .reports import ParamRange, _digits
 
 
 class NonIntegral(ArithmeticError):
@@ -283,14 +283,6 @@ def _fail(lhs, rhs):
     return ("fail", str(lhs), str(rhs))
 
 
-def _digits(x: int) -> str:
-    """x in decimal, or in exact hex past the interpreter's limit on decimal digits."""
-    try:
-        return str(x)
-    except ValueError:
-        return hex(x)
-
-
 def _divides(value: int, divisor: int):
     """Divisibility with the 0 | x convention (only 0 is divisible by 0)."""
     rem = value % divisor if divisor else value
@@ -515,18 +507,6 @@ def _check_eq_2_8(point):
     return _OK
 
 
-def _lucas_step(_prefix, m: int, d: int) -> tuple:
-    """For n = m*d and k < n, with j, r = divmod(k, d): the integers u, v, t
-    with [n+1 k] = u, [n+k k] = v and [2k k] = t [2r r] mod Phi_d (q-Lucas).
-    u = C(m, j) [1 r] is 0 for r > 1, and t = C(2j, j) is 0 for 2r >= d,
-    where [2k k] = C(2j+1, j) [2r-d r] = 0."""
-    return tuple((comb(m, j) if r <= 1 else 0, comb(m + j, j), comb(2 * j, j) if 2 * r < d else 0)
-                 for j in range(m) for r in range(d))
-
-
-_LUCAS = seq._PrefixCache(_lucas_step, start=1)  # keyed d, indexed m = n/d
-
-
 class CheckerDisagreement(RuntimeError):
     """Two independent computations of one verdict disagree: a fault in the
     verifier, which must end the run as an internal error, not a refutation."""
@@ -536,24 +516,26 @@ def _lucas_remainder(n: int, d: int, a: int, bexp: int, weight_shift: int) -> li
     """For d | n, d > 1: the d coefficients of a residue mod q^d - 1, all zero
     exactly when Phi_d divides LEM-2.3's sum (q-Lucas).
 
-    Mod Phi_d the k-th term is u^a v^b t [2r r] [k+w]_q (-[3]_q)^(n-1-k),
-    with the scalars of _LUCAS and [k+w]_q = [(k+w) mod d]_q.  The sum is
-    formed by Horner in -[3]_q over the terms nonzero at q = 1 only, as one
-    packed residue reduced mod 2^(dB) - 1 (see _Packed): a gap g between
-    terms is one product by (-[3]_q)^g.  Only the read-back needs a bound on
-    the coefficients, and the unsigned sum at q = 1 is one.  The residue
-    read back is multiplied by prod_{p | d prime} (q^(d/p) - 1),
-    one rotation and subtraction per p.  q^d - 1 is squarefree and the
-    product vanishes at its roots but the primitive d-th ones, the roots of
-    Phi_d."""
-    terms, bound, last = [], 0, 0  # terms: (k, u^a v^b t, r, (r+w) mod d), nonzero at q = 1
-    for k, (u, v, t) in enumerate(_LUCAS.at(n // d, d)):
-        r = k % d
-        c, s = u ** a * v ** bexp * t, (r + weight_shift) % d
-        if c and s:
-            terms.append((k, c, r, s))
-            bound = bound * 3 ** (k - last) + c * comb(2 * r, r) * s
-            last = k
+    With k = jd + r and m = n/d, mod Phi_d the k-th term is
+    c_j [1 r]^a [2r r] [(r+w) mod d]_q (-[3]_q)^(n-1-k), with one integer
+    c_j = C(m, j)^a C(m+j, j)^b C(2j, j) per block j; only r < d/2, and
+    r <= 1 for a >= 1, leave [2r r] and [1 r]^a nonzero.  The sum is formed
+    by Horner in -[3]_q over the terms nonzero at q = 1 only, as one packed
+    residue reduced mod 2^(dB) - 1 (see _Packed): a gap g between terms is
+    one product by (-[3]_q)^g.  Only the read-back needs a bound on the
+    coefficients, and the unsigned sum at q = 1 is one.  The residue read
+    back is multiplied by prod_{p | d prime} (q^(d/p) - 1), one rotation and
+    subtraction per p.  q^d - 1 is squarefree and the product vanishes at
+    its roots but the primitive d-th ones, the roots of Phi_d."""
+    m, terms, bound, last = n // d, [], 0, 0  # terms: (k, c_j, r, (r+w) mod d), nonzero at q = 1
+    for j in range(m):
+        c = comb(m, j) ** a * comb(m + j, j) ** bexp * comb(2 * j, j)
+        for r in range(min((d + 1) // 2, 2 if a else d)):
+            k, s = j * d + r, (r + weight_shift) % d
+            if s:
+                terms.append((k, c, r, s))
+                bound = bound * 3 ** (k - last) + c * comb(2 * r, r) * s
+                last = k
     ring = _Packed(d, bound * 3 ** (n - 1 - last))
     M, neg_three, shapes = ring.mask, -ring.q_integer(3), {}
     acc = last = 0

@@ -21,7 +21,7 @@ import sys
 import traceback
 
 from . import sequences as seq
-from .reports import (InvalidRange, format_report_human, reports_to_csv,
+from .reports import (InvalidRange, _digits, format_report_human, reports_to_csv,
                       reports_to_json)
 from .verify import SUITES, UnknownClaim, UnknownSuite, run_claims, suite_claims
 
@@ -143,7 +143,7 @@ def _cmd_seq(args) -> int:
         gen = _GENERALIZED[name]
         fn = lambda n: gen(n, args.b, args.c)
     for n in range(lo, args.n_max + 1):
-        print(f"{n}\t{fn(n)}")
+        print(f"{n}\t{_digits(fn(n))}")
     return 0
 
 

@@ -91,6 +91,14 @@ class VerificationReport:
         return out
 
 
+def _digits(x: int) -> str:
+    """x in decimal, or in exact hex past the interpreter's limit on decimal digits."""
+    try:
+        return str(x)
+    except ValueError:
+        return hex(x)
+
+
 def reports_to_json(reports: list[VerificationReport], *, include_elapsed: bool = True) -> str:
     return json.dumps(
         [r.to_json_dict(include_elapsed=include_elapsed) for r in reports],

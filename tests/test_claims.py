@@ -28,8 +28,9 @@ import motzkinlab
 from motzkinlab import claims, modular, sequences as seq, verify
 from motzkinlab.claims import (CLAIMS, NonIntegral, _mod_q_integer, _q_divides_2_9,
                                _q_sum_2_9, s_quotient, t_quotient)
-from motzkinlab.polynomials import (NotDivisible, Poly, ZERO, _fold, _mul_coeffs, _Packed,
-                                    big_schroder_poly, q_binomial, q_integer, s_poly, w_poly)
+from motzkinlab.polynomials import (NotDivisible, Poly, ZERO, _Q_ROWS, _fold, _mul_coeffs,
+                                    _Packed, big_schroder_poly, q_binomial, q_integer, s_poly,
+                                    w_poly)
 from motzkinlab.reports import InvalidRange, ParamRange, reports_to_csv, reports_to_json
 from motzkinlab.verify import (SUITES, UnknownClaim, UnknownSuite, run_suite,
                                verify_claim)
@@ -1444,26 +1445,35 @@ def _drop_rotation_3(monkeypatch) -> None:
     monkeypatch.setattr(modular, "is_prime", lambda p: p != 3 and is_prime(p))
 
 
-def _bump_lucas_scalar(slot: int) -> None:
-    """Scalar `slot` (0: u of [15 1], 1: v of [15 1], 2: t of [2 1]) of the
-    q-Lucas row mod Phi_7 at n = 14, k = 1, plus 1."""
-    cache, d, m = claims._LUCAS, 7, 2
-    row = list(cache.at(m, d))
-    scalars = list(row[1])
-    scalars[slot] += 1
-    row[1] = tuple(scalars)
-    cache._data[d][m - cache._start] = tuple(row)
+def _double_q_part_at_r_1(monkeypatch, power) -> None:
+    """Read one factor's q-part at r = k mod d = 1 as 2, not 1: the r = 1
+    term of every block gains 2 ** power(a, b).  A wrong block integer would
+    go unseen: the terms of one block share it, and at w = 2 they cancel
+    mod Phi_d whatever it is.  Mod Phi_d, [n+1 k] = C(m, j) [1 r] and
+    [n+k k] = C(m+j, j) [r r], whose q-parts at r = 1 are [1 1] = 1 and go
+    unread, so the factor goes onto the shape [2 1]_q, which _lucas_remainder
+    reads through q_binomial, at the exponents _q_divides_2_9 passes it."""
+    remainder, q_binomial, scale = claims._lucas_remainder, claims.q_binomial, 1
+
+    def lucas(n, d, a, bexp, weight_shift):
+        nonlocal scale
+        scale = 2 ** power(a, bexp)
+        return remainder(n, d, a, bexp, weight_shift)
+
+    monkeypatch.setattr(claims, "_lucas_remainder", lucas)
+    monkeypatch.setattr(claims, "q_binomial",
+                        lambda n, k: q_binomial(n, k) * (scale if (n, k) == (2, 1) else 1))
 
 
 @pytest.mark.parametrize("bump", [
     _drop_rotation_3,
-    lambda _: _bump_lucas_scalar(0),
-    lambda _: _bump_lucas_scalar(1),
-    lambda _: _bump_lucas_scalar(2),
+    lambda monkeypatch: _double_q_part_at_r_1(monkeypatch, lambda a, bexp: a),
+    lambda monkeypatch: _double_q_part_at_r_1(monkeypatch, lambda a, bexp: bexp),
+    lambda monkeypatch: _double_q_part_at_r_1(monkeypatch, lambda a, bexp: 1),
 ], ids=["Phi_d", "[n+1 k]", "[n+k k]", "[k+w][2k k]"])
 def test_perturbed_q_factor_is_caught_and_reset_clears_it(monkeypatch, bump):
     """A Phi_d test that drops one prime's rotation, or one wrong q-Lucas
-    scalar, must stop LEM-2.3 from verifying: q-Lucas refutes a point that
+    factor, must stop LEM-2.3 from verifying: q-Lucas refutes a point that
     the fold mod q^n - 1 does not, which is an internal error.  After the
     patch is undone and the caches reset the claim verifies again."""
     small = {"n_max": 14, "qexp_a_max": 2, "qexp_b_max": 2}
@@ -1479,26 +1489,25 @@ def test_perturbed_q_factor_is_caught_and_reset_clears_it(monkeypatch, bump):
 
 
 def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
-    # threads that fill the q-Lucas scalar rows in opposite d orders, through
-    # the q-Lucas verdicts of both weights, must all finish with the serial
-    # verdicts and the serial rows
+    # threads that fill the q-Pascal rows of the q-Lucas shapes [2r r] in
+    # opposite point orders, through the q-Lucas verdicts of both weights,
+    # must all finish with the serial verdicts and the serial rows: rows 0 to
+    # 28, the last read at d = 29 and 30 with a = 0
     points = [(n, a, bexp, shift) for n in range(1, 31) for a in (0, 1, 2)
               for bexp in (0, 1, 2) for shift in (2, 3)]
     seq._reset_caches()
     expected = [_q_divides_2_9(*pt) for pt in points]
 
-    def lucas_rows():
-        return {d: claims._LUCAS.prefix(30 // d, d) for d in range(1, 31)}
+    def q_rows():
+        return list(_Q_ROWS._data[()])
 
-    rows = lucas_rows()
+    rows = q_rows()
+    assert len(rows) == 29
     n_threads, got, errors = 6, [], []
 
     def work(start: threading.Barrier, order: int) -> None:
         try:
             start.wait()
-            if order % 3 == 2:
-                for d in range(30, 0, -1):
-                    claims._LUCAS.at(30 // d, d)
             pts = points if order % 2 else points[::-1]
             out = {pt: _q_divides_2_9(*pt) for pt in pts}
             got.append([out[pt] for pt in points])
@@ -1517,7 +1526,7 @@ def test_concurrent_q_factor_fills_agree_and_do_not_deadlock():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert lucas_rows() == rows
+            assert q_rows() == rows
     finally:
         sys.setswitchinterval(interval)
     assert errors == []

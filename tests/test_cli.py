@@ -72,6 +72,26 @@ class TestSeq:
         assert err.splitlines()[0] == "error: internal error: ValueError: boom at 0"
         assert "Traceback (most recent call last):" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no limit on decimal digits")
+    def test_values_past_the_digit_limit_print_in_hex(self, capsys):
+        # at the lowest limit the interpreter takes, M_1351 is the first value
+        # with too many decimal digits: it and the rows after it print as
+        # exact hex, the witnesses' rule, and the rows before stay decimal
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "seq", "motzkin", "--max", "1355")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert [int(n) for n, _ in rows] == list(range(1356))
+        for n, text in rows[:1351]:
+            assert text == str(seq.motzkin(int(n)))
+        for n, text in rows[1351:]:
+            assert text.startswith("0x") and int(text, 16) == seq.motzkin(int(n))
+
     def test_params_rejected_for_plain_sequence(self, capsys):
         code, _, err = run_cli(capsys, "seq", "catalan", "--max", "3", "--b", "1", "--c", "1")
         assert code == 2
@@ -248,21 +268,18 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err.splitlines()[0] == "error: internal error: NonIntegral: remainder 7 at n = 11"
 
-    def test_lucas_fold_disagreement_exits_3(self, capsys):
-        # a wrong q-Lucas scalar refutes LEM-2.3 at n = 14 where the fold
-        # mod q^14 - 1 does not: an internal error, never a counterexample
-        seq._reset_caches()
-        try:
-            row = list(claims._LUCAS.at(2, 7))
-            row[1] = (row[1][0] + 1,) + row[1][1:]
-            claims._LUCAS._data[7][1] = tuple(row)
-            code, out, err = run_cli(capsys, "verify", "LEM-2.3", "--n-max", "14")
-        finally:
-            seq._reset_caches()
+    def test_lucas_fold_disagreement_exits_3(self, capsys, monkeypatch):
+        # a doubled q-Lucas shape [2 1]_q refutes LEM-2.3 at n = 4, the first
+        # point with a divisor d >= 4, where the fold mod q^4 - 1 does not: an
+        # internal error, never a counterexample
+        q_binomial = claims.q_binomial
+        monkeypatch.setattr(claims, "q_binomial",
+                            lambda n, k: q_binomial(n, k) * (2 if (n, k) == (2, 1) else 1))
+        code, out, err = run_cli(capsys, "verify", "LEM-2.3", "--n-max", "14")
         assert code == 3
         assert out == ""
         assert err.startswith("error: internal error: CheckerDisagreement: q-Lucas refutes "
-                              "(n, a, b, w) = (14, 1, 0, 2)")
+                              "(n, a, b, w) = (4, 1, 0, 2)")
 
     def test_grid_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "THM-1.3.a", "--n-max", "6",
