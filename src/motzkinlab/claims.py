@@ -223,7 +223,7 @@ _EQ411_ROW = seq._PrefixCache(lambda _prefix, n, delta: tuple(_ratio_row(
                (j + 1) ** 3 * (j + delta + 2)))), start=1)
 # LEM-4.4.b: entry k-1 is sum_j C(n-j,k-j) (-1)^(k-j) w(n,j) (LEM-4.4.a reads s_n)
 _W_INVERSE_ROW = seq._PrefixCache(lambda _prefix, n, _key: tuple(_binomial_transform(
-    [seq.w_coeff(n, j) for j in range(1, n + 1)], -1)), start=1)
+    _W_POLY.at(n, 1).coeffs, -1)), start=1)
 
 
 def _t2_sum_step(_prefix, n, key):
@@ -455,7 +455,7 @@ def _check_cor_1_1_ab(n):  # Theorem 1.3.a, then 1.3.b, at (b, c) = (3, 2)
 
 def _check_id_2_3(point):
     n = point
-    lhs = big_schroder_poly(n, 1)
+    lhs = _BIG_S_POLY.at(n, 1)
     rhs = _XP1 * _S_POLY.at(n)
     if lhs != rhs:
         return _fail(lhs.render(), rhs.render())

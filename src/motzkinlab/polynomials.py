@@ -341,8 +341,7 @@ def big_schroder_poly(n: int, h: int = 1) -> Poly:
     (C(n+k, 2k) * Catalan(k))^h."""
     if n < 0 or h < 1:
         raise ValueError("big_schroder_poly: need n >= 0 and h >= 1")
-    cat = sequences.catalan_values(n)
-    return Poly(tuple((math.comb(n + k, 2 * k) * cat[k]) ** h for k in range(n + 1)))
+    return Poly(tuple((math.comb(n + k, 2 * k) * sequences.catalan(k)) ** h for k in range(n + 1)))
 
 
 def w_poly(n: int, h: int = 1) -> Poly:

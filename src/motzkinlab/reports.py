@@ -158,7 +158,5 @@ def format_report_human(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def _point_str(point) -> str:
-    if isinstance(point, dict):
-        return ",".join(f"{k}={v}" for k, v in point.items())
-    return str(point)
+def _point_str(point: dict) -> str:
+    return ",".join(f"{k}={v}" for k, v in point.items())

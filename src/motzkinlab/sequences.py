@@ -6,16 +6,15 @@ Every function returns exact Python ints.  The tables are filled by the
 families' holonomic recurrences (Petkovsek-Wilf-Zeilberger, "A = B"), each
 entry from the ones before it:
 
-    (k+1) C_k = 2(2k-1) C_(k-1)                                  Catalan
     n T_n(b,c) = (2n-1) b T_(n-1) - (n-1) d T_(n-2)              T_0 = 1, T_1 = b
     (n+2) M_n(b,c) = (2n+1) b M_(n-1) - (n-1) d M_(n-2)          M_0 = 1, M_1 = b
 
 with d = b^2 - 4c; every division is exact.  Motzkin, central trinomial,
-Delannoy and both Schroder sequences are reads of the two (b, c) families:
-M_n = M_n(1,1), T_n = T_n(1,1), D_n = T_n(3,2), s_n = M_(n-1)(3,2) and
-S_n = 2 s_n (n >= 1).  W_n is read off T_n through the generating function
-W(x) = -(1 - 2x - 3x^2) T(x) / (1 - x)^2, not through the recurrence the
-verifier checks for it (REC-W).
+Catalan, Delannoy and both Schroder sequences are reads of the two (b, c)
+families: M_n = M_n(1,1), T_n = T_n(1,1), C_k = M_2k(0,1), D_n = T_n(3,2),
+s_n = M_(n-1)(3,2) and S_n = 2 s_n (n >= 1).  W_n is read off T_n through
+the generating function W(x) = -(1 - 2x - 3x^2) T(x) / (1 - x)^2, not
+through the recurrence the verifier checks for it (REC-W).
 
 All tables, and the other caches of the package, are ``_PrefixCache``
 instances, and ``_reset_caches()`` empties every one of them.  A cache's
@@ -82,24 +81,6 @@ def _reset_caches() -> None:
         cache._data.clear()
 
 
-def _catalan_step(cat: list, k: int, _key) -> int:
-    return cat[k - 1] * 2 * (2 * k - 1) // (k + 1) if k else 1
-
-
-_CATALAN = _PrefixCache(_catalan_step)
-
-
-def catalan(k: int) -> int:
-    """Catalan number C(2k, k)/(k+1)."""
-    if k < 0:
-        raise ValueError("catalan: k must be >= 0")
-    return _CATALAN.at(k)
-
-
-def catalan_values(k_max: int) -> list[int]:
-    return _CATALAN.prefix(k_max)
-
-
 def narayana(m: int, k: int) -> int:
     """Narayana number C(m, k) * C(m, k-1) / m for m >= k >= 1."""
     if k < 1 or m < k:
@@ -150,6 +131,14 @@ def gen_motzkin(n: int, b: int, c: int) -> int:
 
 def gen_motzkin_values(n_max: int, b: int, c: int) -> list[int]:
     return _GEN_MOTZKIN.prefix(n_max, (b, c))
+
+
+def catalan(k: int) -> int:
+    """Catalan number C(2k, k)/(k+1) = M_2k(0, 1): at b = 0 only the top
+    term of M_n(b, c)'s sum survives, so the table's odd entries are 0."""
+    if k < 0:
+        raise ValueError("catalan: k must be >= 0")
+    return _GEN_MOTZKIN.at(2 * k, (0, 1))
 
 
 def motzkin(n: int) -> int:

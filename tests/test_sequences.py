@@ -249,7 +249,7 @@ class TestCaching:
         # a negative index must not read the warm list from its end
         seq.catalan(5)
         with pytest.raises(ValueError):
-            seq._CATALAN.at(-1)
+            seq._GEN_MOTZKIN.at(-1, (0, 1))
 
     def test_concurrent_fills_agree_with_the_sums(self):
         # A fill that appended, with steps that read their prefix from the end,
