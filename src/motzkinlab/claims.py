@@ -141,16 +141,21 @@ _WSUM_M = _Acc(1, lambda prev, n, e: prev + (2 * n + e) * _m_at(n, (1, 1)) ** 2)
 # MUT-THM-1.2 e = 10
 _TT_SUM = _Acc(1, lambda prev, n, e: prev + (n - 1) * n * (8 * n - 8 + e)
                * _t_at(n - 1, (1, 1)) * _t_at(n, (1, 1)))
+# T_n(-b, c) = (-1)^n T_n(b, c) and M_n(-b, c) = (-1)^n M_n(b, c), and d = b^2 - 4c
+# does not see the sign of b, so the three (b, c)-sums below are even or odd in b and
+# are keyed by |b|: the points at b and -b read one entry.
 # sum_{k=0..n-1} (k+1)(k+2)(2k+e) M_k(b,c)^2 (sigma*d)^(n-1-k) for the pair sigma = (+1, -1),
-# keyed (b, c, e); one term serves both signs.  THM-1.3.c/d read (b, c, 3), ID-1.8 the
-# sigma = -1 half at (1, 1, 3), COR-1.1.c/d (3, 2, 3) and MUT-ID-1.8 the -1 half at (1, 1, 4)
+# keyed (|b|, c, e), even in b; one term serves both signs.  THM-1.3.c/d read (|b|, c, 3),
+# ID-1.8 the sigma = -1 half at (1, 1, 3), COR-1.1.c/d (3, 2, 3) and MUT-ID-1.8 the -1
+# half at (1, 1, 4)
 _MSQ_SUM = _Acc(1, _msq_step, init=(0, 0))
-# sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k), with -d = 4c - b^2
+# sum_{k=0..n-1} (2k+1) T_k(b,c)^2 (-d)^(n-1-k), with -d = 4c - b^2, keyed (|b|, c), even in b
 _S31 = _Acc(1, lambda prev, n, key: (4 * key[1] - key[0] ** 2) * prev
             + (2 * n - 1) * _t_at(n - 1, key) ** 2)
-# sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k) for the pair delta = (0, 1), keyed (b, c);
-# one product k*T_k*T_(k-1) serves both.  THM-1.3.a reads delta = 0, THM-1.3.b delta = 1,
-# COR-1.1.ab both at (3, 2) and EQ-4.11 the half of its delta
+# sum_{k=1..n} k^(2*delta+1) T_k T_{k-1} d^(n-k) for the pair delta = (0, 1), keyed (|b|, c),
+# odd in b: the sum at b < 0 is minus the entry.  One product k*T_k*T_(k-1) serves both
+# halves.  THM-1.3.a reads delta = 0, THM-1.3.b delta = 1, COR-1.1.ab both at (3, 2) and
+# EQ-4.11 the half of its delta
 _S411 = _Acc(1, _s411_step, init=(0, 0))
 # sum_{k=0..n-1} (alpha*k+beta) W_k^2, keyed (alpha, beta): CONJ-5.1.a/b read
 # (8, 9) and REM-5.1 (0, 1)
@@ -401,33 +406,43 @@ def _check_thm_1_2(point, e=9):
     return _ok(q)
 
 
+# The divisors of Theorem 1.3.a/b hold |b|, and their sums are odd in b, so a point
+# at b < 0 divides the |b| entry; only a refuted one negates it, so that its witness
+# prints the sum at b.
 def _check_thm_1_3_a(point):
     b, c, n = point
-    total = _S411.at(n, (b, c))[0]
-    divisor = abs(b) * (n * (n + 1) // 2)
+    ab = abs(b)
+    total = _S411.at(n, (ab, c))[0]
+    divisor = ab * (n * (n + 1) // 2)
     ok, rem = _divides(total, divisor)
     if not ok:
-        return _fail(f"sum = {total} = {rem} (mod {divisor})", "0 (mod b*n(n+1)/2)")
+        if b < 0:
+            total, rem = -total, -total % divisor
+        return _fail(f"sum = {_digits(total)} = {rem} (mod {divisor})", "0 (mod b*n(n+1)/2)")
     return _OK
 
 
 def _check_thm_1_3_b(point):
     b, c, n = point
-    total = 3 * _S411.at(n, (b, c))[1]
-    divisor = abs(b) * (n * (n + 1) // 2) ** 2
+    ab = abs(b)
+    total = 3 * _S411.at(n, (ab, c))[1]
+    divisor = ab * (n * (n + 1) // 2) ** 2
     ok, rem = _divides(total, divisor)
     if not ok:
-        return _fail(f"3*sum = {total} = {rem} (mod {divisor})", "0 (mod b*n^2(n+1)^2/4)")
+        if b < 0:
+            total, rem = -total, -total % divisor
+        return _fail(f"3*sum = {_digits(total)} = {rem} (mod {divisor})", "0 (mod b*n^2(n+1)^2/4)")
     return _OK
 
 
 def _check_thm_1_3_c(point):
     b, c, n = point
-    total = gcd(2, n) * _MSQ_SUM.at(n, (b, c, 3))[0]
+    total = gcd(2, n) * _MSQ_SUM.at(n, (abs(b), c, 3))[0]
     divisor = n * (n + 1) * (n + 2)
     ok, rem = _divides(total, divisor)
     if not ok:
-        return _fail(f"gcd(2,n)*sum = {total} = {rem} (mod {divisor})", "0 (mod n(n+1)(n+2))")
+        return _fail(f"gcd(2,n)*sum = {_digits(total)} = {rem} (mod {divisor})",
+                     "0 (mod n(n+1)(n+2))")
     return _OK
 
 
@@ -437,7 +452,7 @@ def _check_thm_1_3_d(point, e=3):
     mm = _m_at(n, key) * _m_at(n - 1, key)
     if mm % abs(b):
         return _fail(f"M_n*M_(n-1) = {_digits(mm)}", f"0 (mod b = {b})")
-    lhs = b * _MSQ_SUM.at(n, (b, c, e))[1]
+    lhs = b * _MSQ_SUM.at(n, (abs(b), c, e))[1]
     rhs = n * (n + 1) * (n + 2) * mm
     if lhs != rhs:
         return _fail(f"b*alt-sum = {_digits(lhs)}", f"n(n+1)(n+2)*M_n*M_(n-1) = {_digits(rhs)}")
@@ -681,10 +696,10 @@ def _check_eq_2_11(point):
 def _check_lem_3_1_a(point):
     b, c, n = point
     key = b, c
-    lhs = b * _S31.at(n, key)
+    lhs = b * _S31.at(n, (abs(b), c))
     rhs = n * _t_at(n, key) * _t_at(n - 1, key)
     if lhs != rhs:
-        return _fail(f"b*alt-sum = {lhs}", f"n*T_n*T_(n-1) = {rhs}")
+        return _fail(f"b*alt-sum = {_digits(lhs)}", f"n*T_n*T_(n-1) = {_digits(rhs)}")
     return _OK
 
 
@@ -850,10 +865,14 @@ def _check_eq_4_10(point):
 
 def _check_eq_4_11(point):
     b, c, delta, n = point
-    lhs = _S411.at(n, (b, c))[delta]
-    total = b * _EQ411_SUM.at(n, (c, b * b - 4 * c))[delta]  # twice the closed form
+    ab = abs(b)
+    lhs = _S411.at(n, (ab, c))[delta]  # the sum at |b|, odd in b
+    total = ab * _EQ411_SUM.at(n, (c, b * b - 4 * c))[delta]  # twice the closed form at |b|
     if 2 * lhs != total:
-        return _fail(f"weighted T-sum = {lhs}", f"closed form = {Fraction(total, 2)}")
+        if b < 0:  # the witness prints both sides at b
+            lhs, total = -lhs, -total
+        half = _digits(total // 2) if total % 2 == 0 else f"{_digits(total)}/2"  # total / 2
+        return _fail(f"weighted T-sum = {_digits(lhs)}", f"closed form = {half}")
     return _OK
 
 

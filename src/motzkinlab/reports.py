@@ -91,12 +91,23 @@ class VerificationReport:
         return out
 
 
+# An integer prints in decimal up to 4300 digits, the interpreter's default limit on
+# int-to-str conversion, and in exact hex from 10**4300 on, whatever the limit is set to.
+_DECIMAL_BOUND = 10 ** 4300
+# Decimal is converted 600 digits at a time: the lowest limit Python allows is 640.
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
 def _digits(x: int) -> str:
-    """x in decimal, or in exact hex past the interpreter's limit on decimal digits."""
-    try:
-        return str(x)
-    except ValueError:
+    """x in decimal when abs(x) < 10**4300, else in exact hex, at any digit limit."""
+    if not -_DECIMAL_BOUND < x < _DECIMAL_BOUND:
         return hex(x)
+    sign, rest, chunks = "-" if x < 0 else "", abs(x), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return sign + str(rest) + "".join(reversed(chunks))
 
 
 def reports_to_json(reports: list[VerificationReport], *, include_elapsed: bool = True) -> str:

@@ -97,6 +97,22 @@ def _w(k: int) -> int:
     return sum(comb(k, 2 * j) * comb(2 * j, j) // (2 * j - 1) for j in range(k // 2 + 1))
 
 
+# The three (b, c)-sums as Theorem 1.3 and Lemma 3.1.a state them.
+def _msq_sum(b, c, sigma, e):
+    return lambda n: sum((k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
+                         * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n))
+
+
+def _s411_sum(b, c, delta):
+    return lambda n: sum(k ** (2 * delta + 1) * _t_bc(k, b, c) * _t_bc(k - 1, b, c)
+                         * (b * b - 4 * c) ** (n - k) for k in range(1, n + 1))
+
+
+def _s31_sum(b, c):
+    return lambda n: sum((2 * k + 1) * _t_bc(k, b, c) ** 2 * (4 * c - b * b) ** (n - 1 - k)
+                         for k in range(n))
+
+
 # Each (running sum, constants) that a checker reads, with the sum as the
 # claim states it.  Corollary 1.1's keys at (b, c) = (3, 2) are written with D_k
 # and s_k, the MUT-* keys with their changed weight.
@@ -106,28 +122,20 @@ _KEYED_SUMS = [
     *[("_TT_SUM", e, lambda n, e=e: sum(k * (k + 1) * (8 * k + e) * _t_bc(k, 1, 1)
                                         * _t_bc(k + 1, 1, 1) for k in range(n)))
       for e in (9, 10)],
-    *[("_MSQ_SUM", (b, c, sigma, e),
-       lambda n, b=b, c=c, sigma=sigma, e=e: sum(
-           (k + 1) * (k + 2) * (2 * k + e) * _m_bc(k, b, c) ** 2
-           * (sigma * (b * b - 4 * c)) ** (n - 1 - k) for k in range(n)))
+    *[("_MSQ_SUM", (b, c, sigma, e), _msq_sum(b, c, sigma, e))
       for b, c, sigma, e in ((2, -1, 1, 3), (2, -1, -1, 3), (-3, 1, 1, 3), (-3, 1, -1, 3),
                              (1, 1, -1, 3), (1, 1, -1, 4))],
     *[("_MSQ_SUM", (3, 2, sigma, 3),
        lambda n, sigma=sigma: sum(sigma ** (n - k) * k * (k + 1) * (2 * k + 1)
                                   * _schroder_little(k) ** 2 for k in range(1, n + 1)))
       for sigma in (1, -1)],
-    *[("_S411", (b, c, delta),
-       lambda n, b=b, c=c, delta=delta: sum(
-           k ** (2 * delta + 1) * _t_bc(k, b, c) * _t_bc(k - 1, b, c)
-           * (b * b - 4 * c) ** (n - k) for k in range(1, n + 1)))
+    *[("_S411", (b, c, delta), _s411_sum(b, c, delta))
       for b, c in ((2, -1), (-3, 1), (2, 1)) for delta in (0, 1)],
     *[("_S411", (3, 2, delta),
        lambda n, delta=delta: sum(k ** (2 * delta + 1) * _delannoy(k) * _delannoy(k - 1)
                                   for k in range(1, n + 1)))
       for delta in (0, 1)],
-    *[("_S31", (b, c),
-       lambda n, b=b, c=c: sum((2 * k + 1) * _t_bc(k, b, c) ** 2
-                               * (4 * c - b * b) ** (n - 1 - k) for k in range(n)))
+    *[("_S31", (b, c), _s31_sum(b, c))
       for b, c in ((2, -1), (-3, 1), (2, 1))],
     *[("_WSUM_W", (alpha, beta),
        lambda n, alpha=alpha, beta=beta: sum((alpha * k + beta) * _w(k) ** 2 for k in range(n)))
@@ -147,23 +155,48 @@ _KEYED_SUMS = [
 ]
 
 
-# A pair sum holds two halves of one statement under one key: the constants
-# (b, c, sigma, e) name half (1 - sigma) // 2 of _MSQ_SUM's key (b, c, e), and
-# (b, c, delta) half delta of _S411's key (b, c).
-_HALF_OF = {"_MSQ_SUM": lambda b, c, sigma, e: ((b, c, e), (1 - sigma) // 2),
-            "_S411": lambda b, c, delta: ((b, c), delta)}
+# The (b, c)-sums are keyed by |b|, since T_k(-b, c) = (-1)^k T_k(b, c), M_k likewise,
+# and d = b^2 - 4c.  For the constants that a checker reads, each entry gives its key,
+# the half of a pair entry, and the sign of the sum at b: (b, c, sigma, e) name half
+# (1 - sigma) // 2 of _MSQ_SUM's key (|b|, c, e), (b, c, delta) half delta of _S411's
+# key (|b|, c), whose sum is odd in b, and (b, c) _S31's key (|b|, c).
+_ENTRY_OF = {"_MSQ_SUM": lambda b, c, sigma, e: ((abs(b), c, e), (1 - sigma) // 2, 1),
+             "_S411": lambda b, c, delta: ((abs(b), c), delta, -1 if b < 0 else 1),
+             "_S31": lambda b, c: ((abs(b), c), None, 1)}
+
+
+def _signed_read(acc: str, n: int, *constants) -> int:
+    """The sum at n that ``constants`` name, b's sign included, read off its |b| entry."""
+    key, half, sign = _ENTRY_OF[acc](*constants)
+    entry = getattr(claims, acc).at(n, key)
+    return sign * (entry if half is None else entry[half])
+
+
+def _assert_reads_its_sum(acc, key, oracle, n_max):
+    if acc in _ENTRY_OF:
+        got = [_signed_read(acc, n, *key) for n in range(1, n_max + 1)]
+    else:
+        got = [getattr(claims, acc).at(n, key) for n in range(1, n_max + 1)]
+    assert got == [oracle(n) for n in range(1, n_max + 1)], (acc, key)
 
 
 @pytest.mark.parametrize("acc, key, oracle", _KEYED_SUMS,
                          ids=[f"{acc}-{key}" for acc, key, _ in _KEYED_SUMS])
 def test_keyed_sum_matches_its_defining_sum(acc, key, oracle):
-    cache = getattr(claims, acc)
-    if acc in _HALF_OF:  # the half that the constants name
-        key, half = _HALF_OF[acc](*key)
-        got = [cache.at(n, key)[half] for n in range(1, 61)]
-    else:
-        got = [cache.at(n, key) for n in range(1, 61)]
-    assert got == [oracle(n) for n in range(1, 61)]
+    _assert_reads_its_sum(acc, key, oracle, 60)
+
+
+@pytest.mark.parametrize("b", range(-4, 5))
+def test_signed_reads_of_the_bc_sums_are_their_defining_sums(b):
+    # every (b, c) in [-4, 4]^2 and n <= 40, b <= 0 and e = 4 included: the sum at b
+    # read off the |b| entry, negated for the odd sum at b < 0, is its defining sum
+    for c in range(-4, 5):
+        for delta in (0, 1):
+            _assert_reads_its_sum("_S411", (b, c, delta), _s411_sum(b, c, delta), 40)
+        for sigma in (1, -1):
+            for e in (3, 4):
+                _assert_reads_its_sum("_MSQ_SUM", (b, c, sigma, e), _msq_sum(b, c, sigma, e), 40)
+        _assert_reads_its_sum("_S31", (b, c), _s31_sum(b, c), 40)
 
 
 @pytest.mark.parametrize("family, h, poly", [
@@ -1170,9 +1203,9 @@ class TestMutationSensitivity:
         "MUT-LEM-2.3": "0d6aa66699ad9be499b8e91063700158c79de572762d861f397c2a2fea676cbe",
     }
 
-    # At n = 4600 each fixture's witness holds an integer of more decimal digits
-    # than int-to-str conversion allows (4300 by default): it renders in exact
-    # hex, and the point is a refutation, not an internal error.
+    # At n = 4600 each fixture's witness holds an integer of more than 4300
+    # decimal digits: it renders in exact hex at any limit on int-to-str
+    # conversion, and the point is a refutation, not an internal error.
     @pytest.mark.parametrize("claim_id, prefix, value", [
         ("MUT-THM-1.1.i", "2*sum = ", lambda n: 2 * claims._WSUM_M.at(n, 2)),
         ("MUT-THM-1.2", "sum = ", lambda n: claims._TT_SUM.at(n, 10)),
@@ -1182,8 +1215,7 @@ class TestMutationSensitivity:
         kind, lhs, _ = CLAIMS[claim_id].check(4600)
         assert kind == "fail" and lhs.startswith(prefix)
         text = lhs[len(prefix):].split(" = ")[0]
-        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
-            assert text.startswith("0x")
+        assert text.startswith("0x")
         assert int(text, 0) == value(4600)
 
     @pytest.mark.parametrize("claim_id", sorted(MUTATION_DIGESTS))
@@ -1200,12 +1232,12 @@ class TestMutationSensitivity:
 _SMALL_AT_3_2 = {"n_max": 12, "prime_hi": 50, "b_set": [3], "c_set": [2]}
 
 
-def _bump_entry_7(table, key, half=None) -> None:
-    """Entry 7 of ``key``, or its ``half`` of a pair, plus 1."""
+def _bump_entry_7(table, key, half=None, by=1) -> None:
+    """Entry 7 of ``key``, or its ``half`` of a pair, plus ``by``."""
     table.prefix(40, key)
     entry = table._data[key][7]
-    table._data[key][7] = entry + 1 if half is None else tuple(
-        v + (i == half) for i, v in enumerate(entry))
+    table._data[key][7] = entry + by if half is None else tuple(
+        v + by * (i == half) for i, v in enumerate(entry))
 
 
 @pytest.mark.parametrize("table, key, half, dependents", [
@@ -1285,6 +1317,95 @@ def test_wrong_second_half_refutes_its_part_alone(acc, key, wrong, right):
         seq._reset_caches()
     assert [x["params"]["n"] for x in reports[wrong].counterexamples] == [7]
     assert reports[right].status == "verified"
+
+
+# The witnesses at b = -2 with entry 7 of the |b| = 2 sum at c = -1 plus 1 (each half of
+# a pair).  They are the texts of sums keyed by signed b with the (-2, -1) entry moved to
+# the same wrong sum at -2: by -1 for the odd _S411, by +1 for the even sums.
+_WITNESSES_AT_MINUS_2 = {
+    "THM-1.3.a": [("sum = -1617057 = 55 (mod 56)", "0 (mod b*n(n+1)/2)")],
+    "THM-1.3.b": [("3*sum = -67121379 = 1565 (mod 1568)", "0 (mod b*n^2(n+1)^2/4)")],
+    "EQ-4.11": [("weighted T-sum = -1617057", "closed form = -1617056"),
+                ("weighted T-sum = -22373793", "closed form = -22373792")],
+    "THM-1.3.c": [("gcd(2,n)*sum = 16280713 = 1 (mod 504)", "0 (mod n(n+1)(n+2))")],
+    "THM-1.3.d": [("b*alt-sum = -1660178", "n(n+1)(n+2)*M_n*M_(n-1) = -1660176")],
+    "LEM-3.1.a": [("b*alt-sum = 97886", "n*T_n*T_(n-1) = 97888")],
+}
+
+
+_ONE_ENTRY_READERS = pytest.mark.parametrize("acc, key, halves, readers", [
+    (claims._S411, (2, -1), (0, 1), ("THM-1.3.a", "THM-1.3.b", "EQ-4.11")),
+    (claims._MSQ_SUM, (2, -1, 3), (0, 1), ("THM-1.3.c", "THM-1.3.d")),
+    (claims._S31, (2, -1), (None,), ("LEM-3.1.a",)),
+], ids=["_S411", "_MSQ_SUM", "_S31"])
+
+
+@_ONE_ENTRY_READERS
+def test_one_entry_serves_b_and_minus_b(acc, key, halves, readers):
+    """b = 2 and b = -2 read one entry: with entry 7 wrong (both halves of a
+    pair), both refute n = 7 alone, and the witnesses at -2 are the sum at -2."""
+    seq._reset_caches()
+    try:
+        for half in halves:
+            _bump_entry_7(acc, key, half)
+        reports = {cid: verify_claim(cid, {"n_max": 12, "b_set": [2, -2], "c_set": [-1]})
+                   for cid in readers}
+    finally:
+        seq._reset_caches()
+    for cid, report in reports.items():
+        points = [(x["params"]["b"], x["params"]["n"]) for x in report.counterexamples]
+        assert sorted(set(points)) == [(-2, 7), (2, 7)], cid
+        assert [(x["lhs"], x["rhs"]) for x in report.counterexamples
+                if x["params"]["b"] == -2] == _WITNESSES_AT_MINUS_2[cid]
+
+
+@_ONE_ENTRY_READERS
+def test_witnesses_of_the_bc_sums_do_not_depend_on_the_digit_limit(acc, key, halves, readers):
+    """With entry 7 off by 10**700, every witness at n = 7 holds an integer of more
+    than 640 digits; it prints the same at the lowest digit limit as at the default."""
+    def witnesses():
+        seq._reset_caches()
+        try:
+            for half in halves:
+                _bump_entry_7(acc, key, half, by=10 ** 700)
+            return [(x["params"], x["lhs"], x["rhs"]) for cid in readers for x in verify_claim(
+                cid, {"n_max": 12, "b_set": [2, -2], "c_set": [-1]}).counterexamples]
+        finally:
+            seq._reset_caches()
+
+    at_default = witnesses()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        at_640 = witnesses()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert at_640 == at_default
+    assert {x[0]["n"] for x in at_default} == {7}
+    assert all(len(lhs) > 640 for _, lhs, _ in at_default)
+
+
+_BC_GRID_CLAIMS = ("THM-1.3.a", "THM-1.3.b", "THM-1.3.c", "THM-1.3.d", "LEM-3.1.a",
+                   "LEM-3.1.b", "LEM-4.1", "REM-2.1", "LEM-2.1.b", "EQ-4.11")
+
+
+@pytest.mark.parametrize("table, catchers", [
+    (seq._GEN_TRINOMIAL, {"LEM-3.1.a", "LEM-3.1.b", "LEM-4.1"}),
+    (seq._GEN_MOTZKIN, {"THM-1.3.d", "REM-2.1", "LEM-2.1.b"}),
+], ids=["T", "M"])
+def test_the_minus_b_tables_stay_load_bearing(table, catchers):
+    """The running sums at b = -3 read the |b| = 3 tables, yet T(-3, 2) and
+    M(-3, 2) stay load-bearing: with entry 7 of one plus 1, exactly the (b, c)-grid
+    claims whose own sides read it refute, from cold caches."""
+    seq._reset_caches()
+    try:
+        _bump_entry_7(table, (-3, 2))
+        statuses = {cid: verify_claim(cid, {"n_max": 12, "b_set": [-3], "c_set": [2]}).status
+                    for cid in _BC_GRID_CLAIMS}
+    finally:
+        seq._reset_caches()
+    assert {cid for cid, status in statuses.items() if status != "verified"} == catchers
+    assert set(statuses.values()) == {"verified", "counterexample"}
 
 
 def test_theorem_1_2_witness_is_its_sum_mod_its_modulus():
@@ -1645,7 +1766,7 @@ def test_accumulator_reads_init_before_its_first_term_and_stores_nothing_below(n
 
 # (accumulator, key) for the cold fills: the key of every keyed sum (each
 # half of a pair sum names its key once), and the two pairs with tuple entries
-_COLD_FILLS = [(acc, _HALF_OF[acc](*key)[0] if acc in _HALF_OF else key)
+_COLD_FILLS = [(acc, _ENTRY_OF[acc](*key)[0] if acc in _ENTRY_OF else key)
                for acc, key, _ in _KEYED_SUMS] + [
     ("_E34_LHS", ()), ("_POW_SUM", (claims._S_POLY, (), 2)), ("_POW_SUM", (claims._W_POLY, 1, 1))]
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -12,7 +13,7 @@ import pytest
 
 from motzkinlab import claims, cli, sequences as seq, verify
 from motzkinlab.cli import main
-from motzkinlab.reports import VerificationReport
+from motzkinlab.reports import VerificationReport, _digits
 
 W_VALUES = [-1, -1, 1, 5, 13, 29, 63, 139, 317, 749, 1827, 4575, 11699]
 
@@ -21,6 +22,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="the interpreter has no limit on decimal digits")
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """The interpreter's limit on int-to-str conversion set to ``limit`` (0: none) inside."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class TestSeq:
@@ -72,25 +88,47 @@ class TestSeq:
         assert err.splitlines()[0] == "error: internal error: ValueError: boom at 0"
         assert "Traceback (most recent call last):" in err
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                        reason="the interpreter has no limit on decimal digits")
+    @needs_digit_limit
     def test_values_past_the_digit_limit_print_in_hex(self, capsys):
-        # at the lowest limit the interpreter takes, M_1351 is the first value
-        # with too many decimal digits: it and the rows after it print as
-        # exact hex, the witnesses' rule, and the rows before stay decimal
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
+        # a value prints in decimal below 10**4300 in absolute value and in
+        # exact hex from there on, whatever the interpreter's limit: at the
+        # lowest limit it takes, M_1351..M_1355 have too many digits for str()
+        # and still print in decimal, as at the default limit
+        with int_digit_limit(640):
             code, out, err = run_cli(capsys, "seq", "motzkin", "--max", "1355")
-        finally:
-            sys.set_int_max_str_digits(limit)
+            edges = [_digits(x) for x in (10 ** 4300 - 1, 10 ** 4300, -10 ** 4300)]
         assert (code, err) == (0, "")
+        assert len(str(seq.motzkin(1351))) > 640 >= len(str(seq.motzkin(1350)))
         rows = [line.split("\t") for line in out.splitlines()]
         assert [int(n) for n, _ in rows] == list(range(1356))
-        for n, text in rows[:1351]:
+        for n, text in rows:
             assert text == str(seq.motzkin(int(n)))
-        for n, text in rows[1351:]:
-            assert text.startswith("0x") and int(text, 16) == seq.motzkin(int(n))
+        assert edges == ["9" * 4300, hex(10 ** 4300), hex(-10 ** 4300)]
+
+    @needs_digit_limit
+    def test_output_does_not_depend_on_the_digit_limit(self, capsys):
+        # MUT-THM-1.1.i's witness sums and the Motzkin numbers to n = 1400 have
+        # more than 640 and fewer than 4300 digits: the default limit, 640 and
+        # no limit print the same decimal text, parsed once the limit is back
+        runs = []
+        for limit in (sys.int_info.default_max_str_digits, 640, 0):
+            with int_digit_limit(limit):
+                runs.append((
+                    run_cli(capsys, "verify", "MUT-THM-1.1.i", "--n-max", "1400",
+                            "--format", "json"),
+                    run_cli(capsys, "seq", "motzkin", "--max", "1400")))
+        same = [(code, [line for line in out.splitlines() if '"elapsed_ms": ' not in line],
+                 err, seq_run) for (code, out, err), seq_run in runs]
+        assert same[1:] == same[:1] * 2
+        report, rows = runs[0]
+        assert report[0] == 1 and rows[0] == 0 and report[2] == rows[2] == ""
+        witnesses = json.loads(report[1])[0]["counterexamples"]
+        texts = [x["lhs"].removeprefix("2*sum = ").split(" = ")[0] for x in witnesses]
+        assert max(map(len, texts)) > 640
+        assert [int(t) for t in texts] == [2 * claims._WSUM_M.at(x["params"]["n"], 2)
+                                           for x in witnesses]
+        assert [int(line.split("\t")[1]) for line in rows[1].splitlines()] == [
+            seq.motzkin(n) for n in range(1401)]
 
     def test_params_rejected_for_plain_sequence(self, capsys):
         code, _, err = run_cli(capsys, "seq", "catalan", "--max", "3", "--b", "1", "--c", "1")
