@@ -288,6 +288,12 @@ def _fail(lhs, rhs):
     return ("fail", str(lhs), str(rhs))
 
 
+def _fraction_digits(x: Fraction) -> str:
+    """str(x), with its numerator and denominator printed by _digits."""
+    num, den = x.numerator, x.denominator
+    return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
 def _divides(value: int, divisor: int):
     """Divisibility with the 0 | x convention (only 0 is divisible by 0)."""
     rem = value % divisor if divisor else value
@@ -492,7 +498,7 @@ def _check_rem_2_1(point):
     lhs = (n + 1) * (n + 2) * _m_at(n, (b, c)) ** 2
     rhs = _M2_SUM.at(n, (c, b * b - 4 * c))
     if lhs != rhs:
-        return _fail(f"(n+1)(n+2)*M_n^2 = {lhs}", f"sum = {rhs}")
+        return _fail(f"(n+1)(n+2)*M_n^2 = {_digits(lhs)}", f"sum = {_digits(rhs)}")
     return _OK
 
 
@@ -509,7 +515,7 @@ def _check_lem_2_2(point):
     lhs = (n + 2) * _WSUM_M.at(n, 1)
     rhs = _lem_2_2_sum(n)
     if lhs != rhs:
-        return _fail(f"(n+2)*sum(2k+1)M_k^2 = {lhs}", f"single sum = {rhs}")
+        return _fail(f"(n+2)*sum(2k+1)M_k^2 = {_digits(lhs)}", f"single sum = {_digits(rhs)}")
     return _OK
 
 
@@ -518,7 +524,8 @@ def _check_eq_2_8(point):
     lhs = _E28_LHS.at(n)
     total = _lem_2_2_sum(n)
     if (n + 2) * (lhs - 1) != total:
-        return _fail(f"double sum = {lhs}", f"telescoped form = {1 + Fraction(total, n + 2)}")
+        return _fail(f"double sum = {_digits(lhs)}",
+                     f"telescoped form = {_fraction_digits(1 + Fraction(total, n + 2))}")
     return _OK
 
 
@@ -708,7 +715,7 @@ def _check_lem_3_1_b(point):
     lhs = _t_at(k, (b, c)) ** 2
     rhs = _T2_SUM.at(k, (c, b * b - 4 * c))[0]
     if lhs != rhs:
-        return _fail(f"T_k^2 = {lhs}", f"sum = {rhs}")
+        return _fail(f"T_k^2 = {_digits(lhs)}", f"sum = {_digits(rhs)}")
     return _OK
 
 
@@ -728,7 +735,8 @@ def _check_lem_3_2(point):
     lhs = 6 * _TT_SUM.at(n, 9)
     rhs = (-1) ** n * n * _sum_3_3(n)
     if lhs != rhs:
-        return _fail(f"6*sum k(k+1)(8k+9)T_k*T_(k+1) = {lhs}", f"closed form = {rhs}")
+        return _fail(f"6*sum k(k+1)(8k+9)T_k*T_(k+1) = {_digits(lhs)}",
+                     f"closed form = {_digits(rhs)}")
     return _OK
 
 
@@ -745,7 +753,7 @@ def _check_eq_3_partial(point):
     lhs = 4 * _S3P.at(m, j)
     rhs = 3 ** (m - j) * (16 * m * m - 30 * m + 21) - (16 * j * j - 30 * j + 21)
     if lhs != rhs:
-        return _fail(f"4*partial sum = {lhs}", f"closed form = {rhs}")
+        return _fail(f"4*partial sum = {_digits(lhs)}", f"closed form = {_digits(rhs)}")
     return _OK
 
 
@@ -756,7 +764,8 @@ def _check_eq_3_4(point):
     # its factorial single sum is 3(-1)^n n times LEM-3.2's, term by term
     total = (-1) ** n * n * _sum_3_3(n)
     if 3 * lhs != 2 * total:
-        return _fail(f"double sum = {lhs}", f"telescoped form = {Fraction(2 * total, 3)}")
+        return _fail(f"double sum = {_digits(lhs)}",
+                     f"telescoped form = {_fraction_digits(Fraction(2 * total, 3))}")
     return _OK
 
 
@@ -778,7 +787,7 @@ def _check_lem_4_1(point):
     lhs = n * _t_at(n, key) * _t_at(n - 1, key)
     rhs = b * _T2_SUM.at(n, (c, b * b - 4 * c))[1]
     if lhs != rhs:
-        return _fail(f"n*T_n*T_(n-1) = {lhs}", f"b*sum = {rhs}")
+        return _fail(f"n*T_n*T_(n-1) = {_digits(lhs)}", f"b*sum = {_digits(rhs)}")
     return _OK
 
 
@@ -787,7 +796,7 @@ def _check_eq_4_2(point):
     lhs = _S42.at(m, j)
     rhs = (m - j) * comb(m + j, 2 * j)
     if lhs != rhs:
-        return _fail(f"alt partial sum = {lhs}", f"(m-j)*C(m+j,2j) = {rhs}")
+        return _fail(f"alt partial sum = {_digits(lhs)}", f"(m-j)*C(m+j,2j) = {_digits(rhs)}")
     return _OK
 
 
@@ -814,7 +823,7 @@ def _check_lem_4_4_a(point):
     lhs = seq.w_coeff(n, k)
     rhs = _S_POLY.at(n).coeffs[k - 1]
     if lhs != rhs:
-        return _fail(f"w(n,k) = {lhs}", f"binomial transform of N(n,*) = {rhs}")
+        return _fail(f"w(n,k) = {_digits(lhs)}", f"binomial transform of N(n,*) = {_digits(rhs)}")
     return _OK
 
 
@@ -823,7 +832,7 @@ def _check_lem_4_4_b(point):
     lhs = seq.narayana(n, k)
     rhs = _W_INVERSE_ROW.at(n)[k - 1]
     if lhs != rhs:
-        return _fail(f"N(n,k) = {lhs}", f"inverse transform of w(n,*) = {rhs}")
+        return _fail(f"N(n,k) = {_digits(lhs)}", f"inverse transform of w(n,*) = {_digits(rhs)}")
     return _OK
 
 
@@ -859,7 +868,7 @@ def _check_eq_4_10(point):
     lhs = 2 * (j + delta + 1) * _S410.at(m, (j, delta))
     rhs = m ** delta * (m + 1) ** delta * (m - j) * (m + j + 1) * comb(m + j, 2 * j)
     if lhs != rhs:
-        return _fail(f"2(j+d+1)*partial sum = {lhs}", f"closed form = {rhs}")
+        return _fail(f"2(j+d+1)*partial sum = {_digits(lhs)}", f"closed form = {_digits(rhs)}")
     return _OK
 
 
@@ -871,8 +880,8 @@ def _check_eq_4_11(point):
     if 2 * lhs != total:
         if b < 0:  # the witness prints both sides at b
             lhs, total = -lhs, -total
-        half = _digits(total // 2) if total % 2 == 0 else f"{_digits(total)}/2"  # total / 2
-        return _fail(f"weighted T-sum = {_digits(lhs)}", f"closed form = {half}")
+        return _fail(f"weighted T-sum = {_digits(lhs)}",
+                     f"closed form = {_fraction_digits(Fraction(total, 2))}")
     return _OK
 
 
@@ -881,7 +890,7 @@ def _check_eq_4_12(point):
     lhs = (j + 1) * _S412.at(m, j)
     rhs = (m + 1) * (m + j + 1) * comb(m + j, 2 * j)
     if lhs != rhs:
-        return _fail(f"(j+1)*partial sum = {lhs}", f"closed form = {rhs}")
+        return _fail(f"(j+1)*partial sum = {_digits(lhs)}", f"closed form = {_digits(rhs)}")
     return _OK
 
 
@@ -916,8 +925,8 @@ def _check_lem_2_1_b(point):
     u, v = _lem_2_1_b_pair(b, d, n)
     target = _m_at(n, (b, c)) << n
     if v != 0 or u != target:
-        return _fail(f"2^n*sqrt(d)^n*s_(n+1)(x) = {u} + {v}*sqrt({d})",
-                     f"2^n*M_n(b,c) = {target}")
+        return _fail(f"2^n*sqrt(d)^n*s_(n+1)(x) = {_digits(u)} + {_digits(v)}*sqrt({d})",
+                     f"2^n*M_n(b,c) = {_digits(target)}")
     return _OK
 
 
@@ -931,7 +940,7 @@ def _check_rec_W(point):
     lhs = (n + 3) * w[3]
     rhs = (3 * n + 7) * w[2] + (n - 5) * w[1] - 3 * (n + 1) * w[0]
     if lhs != rhs:
-        return _fail(f"(n+3)W_(n+3) = {lhs}", f"recurrence rhs = {rhs}")
+        return _fail(f"(n+3)W_(n+3) = {_digits(lhs)}", f"recurrence rhs = {_digits(rhs)}")
     return _ok(w[0])
 
 
@@ -947,7 +956,7 @@ def _check_conj_5_1_b(point):
     p = point
     total = _WSUM_W.at(p, (8, 9))
     if total % p:
-        return _fail(f"sum = {total}", f"0 (mod p = {p}); p must divide the sum")
+        return _fail(f"sum = {_digits(total)}", f"0 (mod p = {p}); p must divide the sum")
     quotient = total // p
     rhs = (24 + 10 * modular.legendre(-1, p) - 9 * modular.legendre(p, 3)
            - 18 * modular.legendre(3, p))
@@ -992,7 +1001,7 @@ def _check_integrality(point):
     witness = _integrality_witness(total, prefactor(m, n), n * (n + 1) * (n + 2))
     if witness is not None:
         i, coef = witness
-        return _fail(f"coefficient of x^{i} = {coef}", "an integer")
+        return _fail(f"coefficient of x^{i} = {_fraction_digits(coef)}", "an integer")
     return _OK
 
 

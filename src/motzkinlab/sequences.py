@@ -12,9 +12,9 @@ entry from the ones before it:
 with d = b^2 - 4c; every division is exact.  Motzkin, central trinomial,
 Catalan, Delannoy and both Schroder sequences are reads of the two (b, c)
 families: M_n = M_n(1,1), T_n = T_n(1,1), C_k = M_2k(0,1), D_n = T_n(3,2),
-s_n = M_(n-1)(3,2) and S_n = 2 s_n (n >= 1).  W_n is read off T_n through
-the generating function W(x) = -(1 - 2x - 3x^2) T(x) / (1 - x)^2, not
-through the recurrence the verifier checks for it (REC-W).
+s_n = M_(n-1)(3,2) and S_n = 2 s_n (n >= 1).  W_n is read off M_n through
+the generating function (1 - x)^2 W(x) = 2x^2 M(x) - 1 + x, not through the
+recurrence the verifier checks for it (REC-W).
 
 All tables, and the other caches of the package, are ``_PrefixCache``
 instances, and ``_reset_caches()`` empties every one of them.  A cache's
@@ -207,12 +207,11 @@ def w_coeff(n: int, k: int) -> int:
 
 
 def _motzkin_analog_w_step(w: list, n: int, _key) -> int:
-    # W(x) = -sqrt(1 - 2x - 3x^2)/(1 - x)^2 and T(x) = 1/sqrt(1 - 2x - 3x^2), so
-    # (1 - x)^2 W(x) = -(1 - 2x - 3x^2) T(x), which gives W_0 = W_1 = -1
+    # W(x) = -sqrt(1 - 2x - 3x^2)/(1 - x)^2 and sqrt(1 - 2x - 3x^2) = 1 - x - 2x^2 M(x)
+    # (Donaghey-Shapiro 1977), so (1 - x)^2 W(x) = 2x^2 M(x) - 1 + x: W_0 = W_1 = -1
     if n < 2:
         return -1
-    t = _GEN_TRINOMIAL.at
-    return 2 * w[n - 1] - w[n - 2] - (t(n, (1, 1)) - 2 * t(n - 1, (1, 1)) - 3 * t(n - 2, (1, 1)))
+    return 2 * w[n - 1] - w[n - 2] + 2 * _GEN_MOTZKIN.at(n - 2, (1, 1))
 
 
 _MOTZKIN_ANALOG_W = _PrefixCache(_motzkin_analog_w_step)

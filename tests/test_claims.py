@@ -6,14 +6,17 @@ under parallelism.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import gc
 import hashlib
 import json
 import multiprocessing
+import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -21,6 +24,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -1279,6 +1283,35 @@ def test_perturbed_table_entry_is_caught_and_reset_clears_it(table, key, half, d
     assert statuses() == dict.fromkeys(dependents, "verified")
 
 
+# The claims that read M(1, 1), T(1, 1) or W, and verify on _SMALL_AT_3_2.  CONJ-5.1.b
+# reads W too, but refutes there from p = 11 on whatever the tables hold.
+_M_READERS = ("THM-1.1.i", "THM-1.1.ii", "LEM-2.2", "EQ-2.11", "ID-1.8")
+_T_READERS = ("THM-1.2", "LEM-3.2")
+_W_READERS = ("REC-W", "CONJ-5.1.a", "REM-5.1")
+
+
+@pytest.mark.parametrize("table, catchers", [
+    (seq._GEN_MOTZKIN, {*_M_READERS, *_W_READERS}),
+    (seq._GEN_TRINOMIAL, set(_T_READERS)),
+], ids=["M", "T"])
+def test_w_is_read_off_the_motzkin_table(table, catchers):
+    """W_n = 2W_(n-1) - W_(n-2) + 2M_(n-2) reads M(1, 1) and no entry of T(1, 1): with
+    entry 7 of M(1, 1) plus 1, REC-W and the sums of W_k^2 refute along with M's own
+    readers, and with entry 7 of T(1, 1) plus 1 only T's readers refute.  After the one
+    reset every one of them verifies again."""
+    def statuses():
+        return {cid: verify_claim(cid, _SMALL_AT_3_2).status
+                for cid in (*_M_READERS, *_T_READERS, *_W_READERS)}
+
+    seq._reset_caches()
+    try:
+        _bump_entry_7(table, (1, 1))
+        assert {cid for cid, status in statuses().items() if status != "verified"} == catchers
+    finally:
+        seq._reset_caches()
+    assert set(statuses().values()) == {"verified"}
+
+
 @pytest.mark.parametrize("key, half, special, general", [
     ((3, 2, 3), 0, "COR-1.1.c", "THM-1.3.c"),
     ((1, 1, 3), 1, "ID-1.8", "THM-1.3.d"),
@@ -1359,30 +1392,124 @@ def test_one_entry_serves_b_and_minus_b(acc, key, halves, readers):
                 if x["params"]["b"] == -2] == _WITNESSES_AT_MINUS_2[cid]
 
 
-@_ONE_ENTRY_READERS
-def test_witnesses_of_the_bc_sums_do_not_depend_on_the_digit_limit(acc, key, halves, readers):
-    """With entry 7 off by 10**700, every witness at n = 7 holds an integer of more
-    than 640 digits; it prints the same at the lowest digit limit as at the default."""
+@contextlib.contextmanager
+def _int_digit_limit(limit: int):
+    """The interpreter's limit on int-to-str conversion set to ``limit`` inside."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _witnesses_at_default_and_at_640(bump, readers, overrides):
+    """The witnesses of ``readers`` over ``overrides`` from cold caches with ``bump()``
+    applied, at the default digit limit and at the lowest one Python takes, 640."""
     def witnesses():
         seq._reset_caches()
         try:
-            for half in halves:
-                _bump_entry_7(acc, key, half, by=10 ** 700)
-            return [(x["params"], x["lhs"], x["rhs"]) for cid in readers for x in verify_claim(
-                cid, {"n_max": 12, "b_set": [2, -2], "c_set": [-1]}).counterexamples]
+            bump()
+            return [(x["params"], x["lhs"], x["rhs"]) for cid in readers
+                    for x in verify_claim(cid, overrides).counterexamples]
         finally:
             seq._reset_caches()
 
     at_default = witnesses()
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        at_640 = witnesses()
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with _int_digit_limit(640):
+        return at_default, witnesses()
+
+
+@_ONE_ENTRY_READERS
+def test_witnesses_of_the_bc_sums_do_not_depend_on_the_digit_limit(acc, key, halves, readers):
+    """With entry 7 off by 10**700, every witness at n = 7 holds an integer of more
+    than 640 digits; it prints the same at the lowest digit limit as at the default."""
+    def bump():
+        for half in halves:
+            _bump_entry_7(acc, key, half, by=10 ** 700)
+
+    at_default, at_640 = _witnesses_at_default_and_at_640(
+        bump, readers, {"n_max": 12, "b_set": [2, -2], "c_set": [-1]})
     assert at_640 == at_default
     assert {x[0]["n"] for x in at_default} == {7}
     assert all(len(lhs) > 640 for _, lhs, _ in at_default)
+
+
+# One entry that each claim with a full-width integer in its witness reads, bumped by
+# _bump_entry_7; the (b, c)-sums are read at (b, c) = (3, 2), so at (c, d) = (2, 1).
+_WIDE_WITNESS_ENTRIES = [
+    (claims._M2_SUM, (2, 1), None, "REM-2.1"),
+    (seq._GEN_MOTZKIN, (3, 2), None, "LEM-2.1.b"),
+    (claims._WSUM_M, 1, None, "LEM-2.2"),
+    (claims._E28_LHS, (), None, "EQ-2.8"),
+    (claims._T2_SUM, (2, 1), 0, "LEM-3.1.b"),
+    (claims._TT_SUM, 9, None, "LEM-3.2"),
+    (claims._S3P, 2, None, "EQ-3.partial"),
+    (claims._E34_LHS, (), 0, "EQ-3.4"),
+    (claims._T2_SUM, (2, 1), 1, "LEM-4.1"),
+    (claims._S42, 2, None, "EQ-4.2"),
+    (claims._S_POLY, (), None, "LEM-4.4.a"),
+    (claims._W_INVERSE_ROW, (), 0, "LEM-4.4.b"),
+    (claims._S410, (2, 1), None, "EQ-4.10"),
+    (claims._EQ411_SUM, (2, 1), 0, "EQ-4.11"),
+    (claims._S412, 2, None, "EQ-4.12"),
+    (seq._MOTZKIN_ANALOG_W, (), None, "REC-W"),
+    (claims._WSUM_W, (8, 9), None, "CONJ-5.1.b"),
+]
+
+
+@pytest.mark.parametrize("table, key, half, reader", _WIDE_WITNESS_ENTRIES,
+                         ids=[entry[-1] for entry in _WIDE_WITNESS_ENTRIES])
+def test_witnesses_do_not_depend_on_the_digit_limit(table, key, half, reader):
+    """With one entry off by 10**700, the claim's witness holds an integer of more
+    than 640 digits, and prints the same at the lowest digit limit as at the default."""
+    at_default, at_640 = _witnesses_at_default_and_at_640(
+        lambda: _bump_entry_7(table, key, half, by=10 ** 700), (reader,), _SMALL_AT_3_2)
+    assert at_640 == at_default
+    assert any(len(text) > 640 for _, lhs, rhs in at_default for text in (lhs, rhs))
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(10 ** 700 + 1, 2), Fraction(-3, 10 ** 650 + 7), Fraction(-(10 ** 4299)), Fraction(0)])
+def test_fraction_witness_is_str_of_the_fraction(value):
+    """EQ-2.8's, EQ-3.4's, EQ-4.11's and the integrality parts' fractions print
+    num/den, or num when den = 1, through _digits: str(value) at any digit limit."""
+    text = str(value)
+    with _int_digit_limit(640):
+        assert claims._fraction_digits(value) == text
+
+
+# A refuted point whose witness has more digits than the lowest limit allows, in a fresh
+# interpreter started at that limit: LEM-3.1.b at (b, c, k) = (1, 1, 7) reads the sum at
+# (c, d) = (1, -3), whose entry 7 is raised by 10**EXP.
+_LEM_3_1_B_REPRO = """
+import json, sys
+from motzkinlab import claims
+claims._T2_SUM.prefix(40, (1, -3))
+total, der = claims._T2_SUM._data[(1, -3)][7]
+claims._T2_SUM._data[(1, -3)][7] = (total + 10 ** int(sys.argv[1]), der)
+print(json.dumps(claims._check_lem_3_1_b((1, 1, 7))))
+"""
+
+
+@pytest.mark.parametrize("exp, prefix", [(700, "sum = 1"), (4300, "sum = 0x")],
+                         ids=["decimal", "hex"])
+def test_witness_at_the_lowest_digit_limit_in_a_fresh_interpreter(exp, prefix):
+    """Under -X int_max_str_digits=640 the refuted point fails with the witness of the
+    default limit: decimal below 10**4300, exact hex from there on."""
+    env = {**os.environ, "PYTHONPATH": str(Path(motzkinlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", _LEM_3_1_B_REPRO, str(exp)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seq._reset_caches()
+    try:
+        _bump_entry_7(claims._T2_SUM, (1, -3), 0, by=10 ** exp)
+        expected = list(claims._check_lem_3_1_b((1, 1, 7)))
+    finally:
+        seq._reset_caches()
+    assert json.loads(proc.stdout) == expected
+    assert expected[0] == "fail" and expected[2].startswith(prefix)
 
 
 _BC_GRID_CLAIMS = ("THM-1.3.a", "THM-1.3.b", "THM-1.3.c", "THM-1.3.d", "LEM-3.1.a",
